@@ -7,6 +7,7 @@ bootstrap inference.
 """
 
 from .core_dist import (
+    BracketError,
     DistributionSpec,
     Family,
     OrderedSample,
@@ -18,6 +19,7 @@ from .core_dist import (
     empirical_cdf,
     exponential,
     gpd,
+    invert_cdf,
     mixture_cdf,
     pareto,
     quantile,
@@ -47,6 +49,7 @@ from .claim_process import (
     sample_max_principle,
     sample_mechanism,
     sample_min_principle,
+    sample_thinned,
     simulate_inflation_scenario,
     substream,
     thinned_cdf,

@@ -14,10 +14,12 @@ from .core_dist import (
     DistributionSpec,
     Family,
     OrderedSample,
+    as_generator,
     cdf,
     density,
+    draw,
+    invert_cdf,
     pareto,
-    quantile,
 )
 from .tail_model import AdjustedModel
 
@@ -31,17 +33,12 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-def _draw(spec: DistributionSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    u = np.clip(rng.random(n), 1e-16, 1.0 - 1e-16)
-    return np.asarray(quantile(spec, u))
-
-
 def sample_min_principle(
     y: DistributionSpec, w: DistributionSpec, n: int, seed
 ) -> OrderedSample:
     """Draws of min(Y, W); survival function is the product of survivals."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    values = np.minimum(_draw(y, n, rng), _draw(w, n, rng))
+    rng = as_generator(seed)
+    values = np.minimum(draw(y, n, rng), draw(w, n, rng))
     return OrderedSample.from_values(values, label="min principle")
 
 
@@ -49,8 +46,8 @@ def sample_max_principle(
     y: DistributionSpec, w: DistributionSpec, n: int, seed
 ) -> OrderedSample:
     """Draws of max(Y, W); CDF is the product of CDFs."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    values = np.maximum(_draw(y, n, rng), _draw(w, n, rng))
+    rng = as_generator(seed)
+    values = np.maximum(draw(y, n, rng), draw(w, n, rng))
     return OrderedSample.from_values(values, label="max principle")
 
 
@@ -61,15 +58,15 @@ def sample_mechanism(model: AdjustedModel, n: int, seed) -> OrderedSample:
     the base draw; a lower adjustment applies the maximum principle to every
     draw.  The result is distributed per the composite adjusted law.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    x = _draw(model.base, n, rng)
+    rng = as_generator(seed)
+    x = draw(model.base, n, rng)
     if model.upper is not None:
         u = model.upper
         apply = rng.random(n) < u.p_upper
-        w = _draw(u.adjuster, n, rng)
+        w = draw(u.adjuster, n, rng)
         x = np.where(apply, np.minimum(x, w), x)
     if model.lower is not None:
-        w = _draw(model.lower.adjuster, n, rng)
+        w = draw(model.lower.adjuster, n, rng)
         x = np.maximum(x, w)
     return OrderedSample.from_values(x, label="mechanism sample")
 
@@ -125,20 +122,32 @@ def thinned_cdf(spec: ThinningSpec, x: float) -> float:
     return min(num / den, 1.0)
 
 
-def thinned_cdf_closed(sigma: float, sigma_t: float, x: float) -> float:
+def thinned_cdf_closed(sigma: float, sigma_t: float, x):
     """Closed-form thinned CDF for an exponential loss law with exponential
     thinning, re-derived from the integral form:
 
         F(x) = 1 - [(sigma+sigma_t) e^{-x/sigma}
                     - sigma_t e^{-x (sigma+sigma_t)/(sigma sigma_t)}] / sigma
+
+    `x` may be a scalar or an array.
     """
     if sigma <= 0 or sigma_t <= 0:
         raise ValueError("sigma and sigma_t must be positive")
-    if x < 0:
+    if np.any(np.asarray(x) < 0):
         raise ValueError("thinned CDF is defined for x >= 0")
     s, st = sigma, sigma_t
     rate2 = (s + st) / (s * st)
     return 1.0 - ((s + st) * np.exp(-x / s) - st * np.exp(-x * rate2)) / s
+
+
+def sample_thinned(sigma: float, sigma_t: float, n: int, seed) -> OrderedSample:
+    """Inverse-transform sample of the closed-form thinned law.
+
+    Uniforms are clipped to [1e-12, 1-1e-12] and inverted on [1e-12, 1e3].
+    """
+    u = np.clip(as_generator(seed).random(n), 1e-12, 1 - 1e-12)
+    values = invert_cdf(lambda x: thinned_cdf_closed(sigma, sigma_t, x), u, 1e-12, 1e3)
+    return OrderedSample.from_values(values, label="thinned sample")
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +188,7 @@ def simulate_inflation_scenario(sc: InflationScenario, seed) -> dict:
         rng = substream(seed if isinstance(seed, int) else int(seed), k)
         mean_count = sc.base_rate * sc.inflation_factor ** (k - 1)
         count = max(int(rng.poisson(mean_count)), 1)
-        values = _draw(size_spec, count, rng)
+        values = draw(size_spec, count, rng)
         raw.append(OrderedSample.from_values(values, label=f"year {k} raw"))
         scale = sc.inflation_factor ** (sc.years - k)
         inflated.append(

@@ -307,16 +307,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         sigma = float(cfg.get("sigma", 1.0))
         sigma_t = float(cfg.get("sigma_t", 1.0))
         n = int(cfg.get("n", 10_000))
-        rng = np.random.default_rng(seed)
-        u = np.clip(rng.random(n), 1e-12, 1 - 1e-12)
-        from scipy.optimize import brentq
-
-        values = [
-            brentq(lambda x, ui=ui: claim_process.thinned_cdf_closed(sigma, sigma_t, x) - ui,
-                   1e-12, 1e3)
-            for ui in u
-        ]
-        write_csv(out / "thinned_sample.csv", ["loss"], ((v,) for v in sorted(values)))
+        s = claim_process.sample_thinned(sigma, sigma_t, n, seed)
+        write_csv(out / "thinned_sample.csv", ["loss"], ((v,) for v in s.values.tolist()))
         print(f"wrote {n} thinned draws to {out}")
     else:
         raise InputError(f"unknown simulation mode '{mode}'")
@@ -374,7 +366,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -300,6 +300,18 @@ def quantile(spec: DistributionSpec, p) -> Union[float, np.ndarray]:
     return x if np.ndim(p) else float(x)
 
 
+def as_generator(seed) -> np.random.Generator:
+    """A Generator from an int, a SeedSequence or a Generator (used as is)."""
+    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+
+
+def draw(spec: DistributionSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n unsorted inverse-transform draws from `rng`."""
+    # keep u away from exact 0 (quantile requires (0,1))
+    u = np.clip(rng.random(n), 1e-16, 1.0 - 1e-16)
+    return np.asarray(quantile(spec, u))
+
+
 def sample(spec: DistributionSpec, n: int, seed) -> OrderedSample:
     """Inverse-transform sample of size n, deterministic given seed.
 
@@ -307,12 +319,51 @@ def sample(spec: DistributionSpec, n: int, seed) -> OrderedSample:
     """
     if n < 1:
         raise ValueError("sample size must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    u = rng.random(n)
-    # keep u away from exact 0 (quantile requires (0,1))
-    u = np.clip(u, 1e-16, 1.0 - 1e-16)
-    values = quantile(spec, u)
+    values = draw(spec, n, as_generator(seed))
     return OrderedSample.from_values(values, label=f"{spec.family.value} sample")
+
+
+# ---------------------------------------------------------------------------
+# numerical CDF inversion
+
+class BracketError(ArithmeticError):
+    """Raised when a target probability is not bracketed: F(lo) < p <= F(hi)
+    fails for some element."""
+
+
+# Geometric bisection halves log2(hi/lo), which is at most ~2100 for positive
+# doubles, so it takes at most 12 steps to reach a factor-2 bracket; from there
+# arithmetic bisection needs at most 53 steps to reach adjacent floats.
+_BISECT_MAX_STEPS = 12 + 53 + 1
+
+
+def invert_cdf(cdf_fn: Callable, p, lo, hi) -> np.ndarray:
+    """Smallest float x in (lo, hi] with cdf_fn(x) >= p, for every element of p.
+
+    `cdf_fn` must be elementwise and non-decreasing; `lo` and `hi` are
+    positive finite brackets that broadcast against `p`.  Each element is
+    bisected to adjacent floats, with geometric midpoints while its bracket
+    spans more than a factor of 2 and arithmetic midpoints after, so the
+    result for one element does not depend on the others.
+    """
+    pv = np.asarray(p, dtype=float)
+    lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), pv.shape) for b in (lo, hi))
+    if not (np.all(lo > 0) and np.all(lo < hi) and np.all(np.isfinite(hi))):
+        raise ValueError("bracket must satisfy 0 < lo < hi < inf")
+    missed = ~((cdf_fn(lo) < pv) & (pv <= cdf_fn(hi)))
+    if np.any(missed):
+        raise BracketError(
+            f"{int(np.sum(missed))} target(s) outside [F(lo), F(hi)], "
+            f"first p={pv[missed].flat[0]}"
+        )
+    for _ in range(_BISECT_MAX_STEPS):
+        mid = np.where(0.5 * hi > lo, np.sqrt(lo) * np.sqrt(hi), lo + 0.5 * (hi - lo))
+        if np.all((mid <= lo) | (mid >= hi)):
+            break
+        up = cdf_fn(mid) >= pv
+        hi = np.where(up, mid, hi)
+        lo = np.where(up, lo, mid)
+    return hi
 
 
 # ---------------------------------------------------------------------------

@@ -48,21 +48,21 @@ def run_lengths(edf_vals, model_vals) -> dict:
     f = np.asarray(model_vals, dtype=float)
     if e.shape != f.shape:
         raise ValueError("EDF and model vectors must have equal length")
-    ind = e > f
-    l = np.zeros(e.size, dtype=int)
-    run = 0
-    for j in range(e.size):
-        run = run + 1 if ind[j] else 0
-        l[j] = run
+    l = _run_lengths_rows((e > f)[None, :])[0]
     return {"l": l, "m": int(l.max(initial=0))}
+
+
+def _run_lengths_rows(indicator: np.ndarray) -> np.ndarray:
+    """Current run length of True at each position, per row of a 2-d
+    boolean array: the running count minus its value at the last False."""
+    s = np.cumsum(indicator, axis=1)
+    base = np.maximum.accumulate(np.where(indicator, 0, s), axis=1)
+    return s - base
 
 
 def _longest_runs_rows(indicator: np.ndarray) -> np.ndarray:
     """Longest run of True per row, vectorized over a 2-d boolean array."""
-    s = np.cumsum(indicator, axis=1)
-    blocked = np.where(indicator, 0, s)
-    base = np.maximum.accumulate(blocked, axis=1)
-    return np.max(s - base, axis=1, initial=0)
+    return np.max(_run_lengths_rows(indicator), axis=1, initial=0)
 
 
 def _tail_m(values_sorted: np.ndarray, sigma: float, alpha: float) -> int:
@@ -71,6 +71,28 @@ def _tail_m(values_sorted: np.ndarray, sigma: float, alpha: float) -> int:
     edf = edf_positions(k)
     model = 1.0 - np.power(sigma / values_sorted, alpha)
     return int(_longest_runs_rows((edf > model)[None, :])[0])
+
+
+# Size of one float64 matrix of tail-test replicates held at a time.
+_BLOCK_BYTES = 4 * 2**20
+
+
+def _simulated_m(
+    rng: np.random.Generator, rows: int, k: int, sigma: float, gamma_hat: float
+) -> np.ndarray:
+    """Longest-run statistics of `rows` simulated Pareto tails of size k."""
+    # mirror the observed procedure: the data tail is the top k of the k+1
+    # exceedances above the threshold order statistic, so each replicate
+    # draws k+1 and drops the smallest
+    u = np.clip(rng.random((rows, k + 1)), 1e-16, 1 - 1e-16)
+    sims = sigma * np.power(u, -gamma_hat)
+    sims.sort(axis=1)
+    sims = sims[:, 1:]
+    # per-replicate Hill re-estimation with the same fixed scale
+    gamma_rep = np.mean(np.log(sims / sigma), axis=1)
+    edf = edf_positions(k)[None, :]
+    model = 1.0 - np.power(sims / sigma, -1.0 / gamma_rep[:, None])
+    return _longest_runs_rows(edf > model)
 
 
 def pareto_tail_test(
@@ -101,19 +123,14 @@ def pareto_tail_test(
     m_obs = _tail_m(tail, sigma, alpha_hat)
 
     rng = np.random.default_rng(seed)
-    # mirror the observed procedure: the data tail is the top k of the k+1
-    # exceedances above the threshold order statistic, so each replicate
-    # draws k+1 and drops the smallest
-    u = np.clip(rng.random((reps, k + 1)), 1e-16, 1 - 1e-16)
-    sims = sigma * np.power(u, -gamma_hat)
-    sims.sort(axis=1)
-    sims = sims[:, 1:]
-    # per-replicate Hill re-estimation with the same fixed scale
-    gamma_rep = np.mean(np.log(sims / sigma), axis=1)
-    edf = edf_positions(k)[None, :]
-    model = 1.0 - np.power(sims / sigma, -1.0 / gamma_rep[:, None])
-    m_sim = _longest_runs_rows(edf > model)
-    p_value = float(np.mean(m_sim >= m_obs))
+    # replicates are drawn and reduced in row blocks of about _BLOCK_BYTES
+    # per (rows x k+1) matrix; the draws equal one reps x (k+1) draw
+    rows = max(1, _BLOCK_BYTES // (8 * (k + 1)))
+    exceed = 0
+    for start in range(0, reps, rows):
+        m_sim = _simulated_m(rng, min(rows, reps - start), k, sigma, gamma_hat)
+        exceed += int(np.sum(m_sim >= m_obs))
+    p_value = exceed / reps
     return TailTestResult(k, m_obs, alpha_hat, sigma, p_value, reps, seed)
 
 
@@ -137,7 +154,7 @@ def qq_coordinates(
         model = AdjustedModel(model)
     n = sample.n
     pos = edf_positions(n)
-    theo_q = np.array([adjusted_quantile(model, p) for p in pos])
+    theo_q = adjusted_quantile(model, pos)
     f_emp = np.asarray(adjusted_cdf(model, sample.values))
     if margins == Margins.ORIGINAL:
         theoretical = theo_q

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core_dist import (
     DistributionSpec,
     Family,
     cdf,
+    invert_cdf,
     quantile,
     spec_from_dict,
     survival,
@@ -116,22 +116,29 @@ def adjusted_cdf(model: AdjustedModel, x) -> Union[float, np.ndarray]:
     return 1.0 - adjusted_survival(model, x)
 
 
-def adjusted_quantile(model: AdjustedModel, p: float) -> float:
-    """Invert the composite CDF by bracketing plus Brent's method."""
-    if not (0.0 < p < 1.0):
+def adjusted_quantile(model: AdjustedModel, p) -> Union[float, np.ndarray]:
+    """Invert the composite CDF at a scalar or an array of probabilities.
+
+    Closed form for an unadjusted model; otherwise each element's bracket
+    is doubled until it covers p, then bisected by `invert_cdf`.
+    """
+    pv = np.asarray(p, dtype=float)
+    if not np.all((pv > 0.0) & (pv < 1.0)):
         raise ValueError(f"probability must lie strictly in (0,1), got {p}")
     if model.upper is None and model.lower is None:
         return quantile(model.base, p)
     lo = 1e-12
-    hi = max(quantile(model.base, p), model.base.left_endpoint + 1.0)
-    while adjusted_cdf(model, hi) < p:
-        hi *= 2.0
-        if hi > 1e300:
+    hi = np.maximum(quantile(model.base, pv), model.base.left_endpoint + 1.0)
+    short = adjusted_cdf(model, hi) < pv
+    while np.any(short):
+        hi = np.where(short, 2.0 * hi, hi)
+        if np.any(hi > 1e300):
             raise ArithmeticError("quantile bracket exceeded float range")
-    f = lambda t: adjusted_cdf(model, t) - p
-    if f(lo) >= 0:
-        return lo
-    return float(brentq(f, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=200))
+        short = adjusted_cdf(model, hi) < pv
+    x = np.full(pv.shape, lo)  # where F(lo) >= p already
+    inside = adjusted_cdf(model, lo) < pv
+    x[inside] = invert_cdf(lambda t: adjusted_cdf(model, t), pv[inside], lo, hi[inside])
+    return x if np.ndim(p) else float(x)
 
 
 def transition_probability_limit(model: AdjustedModel, x_probe: float) -> float:

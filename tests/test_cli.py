@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 import claimtails as ct
+from claimtails import claim_process, estimation, gof
+from claimtails.claim_process import NumericFailureError
 from claimtails.cli import main, read_config_file, read_loss_csv
+from claimtails.estimation import FitFailedError
+from claimtails.tail_model import ProbeTooFarError
 
 
 @pytest.fixture
@@ -193,3 +197,55 @@ class TestBootstrapCommand:
         assert "gamma" in summary["standard_errors"]
         reps = (out / "bootstrap_replicates.csv").read_text().strip().splitlines()
         assert len(reps) == 9 - summary["failed"]
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+def _fails_to_fit(monkeypatch):
+    monkeypatch.setattr(estimation, "fit_pipeline", _raise(FitFailedError("no restart converged")))
+
+
+def _fails_quadrature(monkeypatch):
+    monkeypatch.setattr(claim_process, "sample_thinned",
+                        _raise(NumericFailureError("thinning normalization integral failed")))
+
+
+def _probes_too_far(monkeypatch):
+    monkeypatch.setattr(gof, "qq_coordinates", _raise(ProbeTooFarError("base survival underflows")))
+
+
+class TestTypedFailures:
+    """Library failures end as an `error:` line and a non-zero exit."""
+
+    @pytest.mark.parametrize("command,patch,message", [
+        pytest.param("fit", _fails_to_fit, "no restart converged", id="FitFailedError"),
+        # every replicate's fit fails, so the bootstrap itself fails
+        pytest.param("bootstrap", _fails_to_fit, "all bootstrap replicates failed",
+                     id="BootstrapFailedError"),
+        pytest.param("thinning", _fails_quadrature, "integral failed", id="NumericFailureError"),
+        pytest.param("qq", _probes_too_far, "underflows", id="ProbeTooFarError"),
+        # no patch: with sigma = 1e6 the draws fall outside the bracket
+        pytest.param("thinning-unbracketed", None, "outside [F(lo), F(hi)]", id="BracketError"),
+    ])
+    def test_error_line_and_nonzero_exit(self, command, patch, message, tmp_path, loss_csv,
+                                         monkeypatch, capsys):
+        mpath = tmp_path / "model.json"
+        mpath.write_text(ct.model_to_json(ct.AdjustedModel(ct.gpd(0.5, 2.0))))
+        common = ["--out", str(tmp_path / "o")]
+        argv = {
+            "fit": ["fit", "--input", str(loss_csv), *common],
+            "bootstrap": ["bootstrap", "--input", str(loss_csv), "--boot-reps", "3", *common],
+            "thinning": ["simulate", "--mode", "thinning", "-n", "10", *common],
+            "qq": ["qq", "--input", str(loss_csv), "--model", str(mpath), *common],
+            "thinning-unbracketed": ["simulate", "--mode", "thinning", "--sigma", "1e6",
+                                     "-n", "10", *common],
+        }[command]
+        if patch is not None:
+            patch(monkeypatch)
+        assert main(argv) != 0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err

@@ -136,6 +136,15 @@ class TestSample:
         single = ct.sample(ct.exponential(1.0), 1, seed=9)
         assert single.n == 1
 
+    def test_matches_clipped_inverse_transform(self):
+        # pins the draw: uniforms clipped to [1e-16, 1-1e-16], then quantile
+        spec = ct.gpd(0.3, 2.0)
+        u = np.clip(np.random.default_rng(42).random(1000), 1e-16, 1 - 1e-16)
+        want = np.sort(ct.quantile(spec, u))
+        np.testing.assert_array_equal(ct.sample(spec, 1000, seed=42).values, want)
+        gen = ct.sample(spec, 1000, seed=np.random.default_rng(42))
+        np.testing.assert_array_equal(gen.values, want)
+
     def test_pareto_ks(self):
         spec = ct.pareto(1.0, 1.0)
         n = 10**5

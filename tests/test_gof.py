@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import claimtails as ct
+from claimtails import gof
 from claimtails.gof import Margins, _longest_runs_rows
 
 
@@ -58,6 +59,22 @@ class TestParetoTailTest:
         assert 0.0 <= a.p_value <= 1.0
         assert a.alpha_hat > 0
         assert a.sigma == float(s.values[s.n - 2 - 50])
+
+    @pytest.mark.parametrize("k", [50, 500])
+    def test_row_blocks_match_one_block(self, k):
+        s = ct.sample(ct.pareto(1.2, 1.0), 2000, seed=3)
+        rows = gof._BLOCK_BYTES // (8 * (k + 1))
+        reps = 2 * rows + 17  # two full blocks and a partial one
+        got = ct.pareto_tail_test(s, k, reps=reps, seed=4)
+
+        # the whole reps x (k+1) simulation as one block
+        sigma, gamma_hat = got.sigma, 1.0 / got.alpha_hat
+        u = np.clip(np.random.default_rng(4).random((reps, k + 1)), 1e-16, 1 - 1e-16)
+        sims = np.sort(sigma * np.power(u, -gamma_hat), axis=1)[:, 1:]
+        gamma_rep = np.mean(np.log(sims / sigma), axis=1)
+        model = 1.0 - np.power(sims / sigma, -1.0 / gamma_rep[:, None])
+        m_sim = _longest_runs_rows(ct.edf_positions(k)[None, :] > model)
+        assert got.p_value == float(np.mean(m_sim >= got.m))
 
     def test_monte_carlo_error_across_seeds(self):
         s = ct.sample(ct.pareto(1.2, 1.0), 300, seed=5)
