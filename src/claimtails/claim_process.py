@@ -12,7 +12,6 @@ from scipy.integrate import quad
 
 from .core_dist import (
     DistributionSpec,
-    Family,
     OrderedSample,
     as_generator,
     cdf,

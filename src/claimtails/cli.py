@@ -10,6 +10,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,7 @@ _WEIGHTINGS = {
     "normalized": Weighting.NORMALIZED,
     "sqrt": Weighting.SQRT_PREFERENCE,
 }
+_BASE_FAMILIES = ("pareto", "gpd")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -132,7 +134,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="excess threshold / base scale")
     p.add_argument("--x-lower", type=float, default=None)
     p.add_argument("--x-upper", type=float, default=None)
-    p.add_argument("--base-family", choices=["pareto", "gpd"], default=None)
+    p.add_argument("--base-family", choices=_BASE_FAMILIES, default=None)
     p.add_argument("--weighting", choices=sorted(_WEIGHTINGS), default=None)
     p.add_argument("--rank-range", default=None, metavar="LO:HI")
     p.add_argument("--boot-reps", type=int, default=None, metavar="B")
@@ -167,8 +169,16 @@ def _cfg_int(cfg, key, default=None):
     return default if key not in cfg else int(cfg[key])
 
 
-def _mad_config(cfg: dict, n: int) -> MadConfig:
-    weighting = _WEIGHTINGS[cfg.get("weighting", "normalized")]
+def _cfg_choice(cfg, key, choices, default):
+    """A config file bypasses argparse, so check the flag's choices here."""
+    value = cfg.get(key, default)
+    if value not in choices:
+        raise InputError(f"{key} must be one of {', '.join(sorted(choices))}, got '{value}'")
+    return value
+
+
+def _mad_config(cfg: dict) -> MadConfig:
+    weighting = _WEIGHTINGS[_cfg_choice(cfg, "weighting", _WEIGHTINGS, "normalized")]
     rank_range = None
     if cfg.get("rank_range"):
         lo, hi = str(cfg["rank_range"]).split(":")
@@ -177,21 +187,21 @@ def _mad_config(cfg: dict, n: int) -> MadConfig:
 
 
 def _build_plan(cfg: dict, sample: OrderedSample) -> PipelinePlan:
-    family = Family(cfg.get("base_family", "gpd"))
+    family = Family(_cfg_choice(cfg, "base_family", _BASE_FAMILIES, "gpd"))
     threshold = _cfg_float(cfg, "threshold")
     if family == Family.PARETO:
         fixed = {"sigma": threshold if threshold is not None else float(sample.values[0]) - 1e-9}
     else:
         fixed = {"loc": threshold if threshold is not None else 0.0}
-    base_cfg = _mad_config(cfg, sample.n)
+    base_cfg = _mad_config(cfg)
     return PipelinePlan(
         base_family=family,
         base_fixed=fixed,
         x_lower=_cfg_float(cfg, "x_lower"),
         x_upper=_cfg_float(cfg, "x_upper"),
         base_config=base_cfg,
-        upper_config=MadConfig(weighting=base_cfg.weighting, bounds={"beta": (0.5, 100.0)}),
-        lower_config=MadConfig(weighting=base_cfg.weighting, bounds={"gamma_adj_l": (-5.0, -0.01)}),
+        upper_config=replace(PipelinePlan.upper_config, weighting=base_cfg.weighting),
+        lower_config=replace(PipelinePlan.lower_config, weighting=base_cfg.weighting),
     )
 
 
@@ -252,20 +262,10 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
     sample = read_loss_csv(cfg["input"], cfg["column"])
     plan = _build_plan(cfg, sample)
     B = _cfg_int(cfg, "boot_reps", 200)
-
-    def closure(resample: OrderedSample) -> dict:
-        res = estimation.fit_pipeline(resample, plan)
-        theta = dict(res.base_fit.theta)
-        if res.upper_fit:
-            theta["p_upper"] = res.model.upper.p_upper
-            theta["beta_adj_u"] = res.upper_fit.theta["beta"]
-            theta["sigma_adj_u"] = res.upper_fit.theta["sigma"]
-        if res.lower_fit:
-            theta["gamma_adj_l"] = res.lower_fit.theta["gamma_adj_l"]
-        return theta
-
-    summary = resampling.bootstrap_fit(sample, closure, B, int(cfg["seed"]),
-                                       keep_replicates=True)
+    summary = resampling.bootstrap_fit(
+        sample, lambda resample: estimation.fit_pipeline(resample, plan).theta,
+        B, int(cfg["seed"]), keep_replicates=True,
+    )
     out = Path(cfg["out"])
     write_json(out / "bootstrap.json", summary.as_dict())
     names = sorted({k for rep in summary.replicates for k in rep})

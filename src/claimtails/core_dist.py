@@ -7,7 +7,7 @@ evaluation and inverse-transform sampling, plus rank-based plotting positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Union
 
@@ -140,8 +140,10 @@ def stepped_pareto(
 
 def spec_from_dict(family: Family | str, params: dict) -> DistributionSpec:
     fam = Family(family)
-    values = tuple(float(params[name]) for name in PARAM_NAMES[fam])
-    return DistributionSpec(fam, values)
+    missing = [name for name in PARAM_NAMES[fam] if name not in params]
+    if missing:
+        raise ParameterError(f"{fam.value} is missing parameters: {', '.join(missing)}")
+    return DistributionSpec(fam, tuple(float(params[name]) for name in PARAM_NAMES[fam]))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -19,14 +20,17 @@ from .core_dist import (
     Family,
     OrderedSample,
     cdf,
+    shifted_weibull,
     spec_from_dict,
-    survival,
 )
 from .tail_model import (
     AdjustedModel,
     LowerAdjustment,
     UpperAdjustment,
+    adjusted_cdf,
+    head_cdf,
     lower_gpd_adjuster,
+    tail_cdf,
 )
 
 
@@ -89,8 +93,6 @@ def _cdf_values(sample: OrderedSample, model) -> np.ndarray:
     if isinstance(model, DistributionSpec):
         f = np.asarray(cdf(model, sample.values))
     elif isinstance(model, AdjustedModel):
-        from .tail_model import adjusted_cdf
-
         f = np.asarray(adjusted_cdf(model, sample.values))
     else:
         f = np.asarray(model(sample.values))
@@ -354,12 +356,11 @@ def spacings_estimate(sample: OrderedSample, value_range: tuple) -> dict:
 
 @dataclass(frozen=True)
 class PipelinePlan:
+    """Three-step fit plan; leaving x_upper or x_lower unset skips that step."""
     base_family: Family
     base_fixed: dict = field(default_factory=dict)
     x_lower: Optional[float] = None
     x_upper: Optional[float] = None
-    fit_upper: bool = True
-    fit_lower: bool = True
     base_config: MadConfig = MadConfig()
     upper_config: MadConfig = MadConfig(bounds={"beta": (0.5, 100.0)})
     lower_config: MadConfig = MadConfig(bounds={"gamma_adj_l": (-5.0, -0.01)})
@@ -373,31 +374,24 @@ class PipelineResult:
     lower_fit: Optional[FitResult]
     warnings: tuple = ()
 
-
-def _conditional_upper_cdf(base, adjuster_builder, x_upper):
-    """Conditional CDF of the upper-adjusted law above x_upper."""
-
-    def make(theta):
-        adjuster = adjuster_builder(theta)
-        p = theta["p_upper"]
-        s_at = float(survival(base, x_upper))
-
-        def cond_cdf(x):
-            sb = np.asarray(survival(base, x))
-            sa = np.asarray(survival(adjuster, x))
-            s_up = sb * (p * sa + (1.0 - p))
-            return 1.0 - s_up / s_at
-
-        return cond_cdf
-
-    return make
+    @property
+    def theta(self) -> dict:
+        """The base's free parameters, then p_upper (as clamped in the model),
+        beta_adj_u, sigma_adj_u and gamma_adj_l, for the steps that ran."""
+        theta = dict(self.base_fit.theta)
+        if self.upper_fit is not None:
+            theta["p_upper"] = self.model.upper.p_upper
+            theta["beta_adj_u"] = self.upper_fit.theta["beta"]
+            theta["sigma_adj_u"] = self.upper_fit.theta["sigma"]
+        if self.lower_fit is not None:
+            theta["gamma_adj_l"] = self.lower_fit.theta["gamma_adj_l"]
+        return theta
 
 
 def fit_pipeline(sample: OrderedSample, plan: PipelinePlan) -> PipelineResult:
     """Three-step composite fit: base on the middle range, upper adjuster and
     transition probability on the tail, lower adjuster on the head."""
     v = sample.values
-    n = sample.n
     warnings = []
     x_lo = plan.x_lower if plan.x_lower is not None else -np.inf
     x_up = plan.x_upper if plan.x_upper is not None else np.inf
@@ -422,31 +416,29 @@ def fit_pipeline(sample: OrderedSample, plan: PipelinePlan) -> PipelineResult:
     # step 2: upper adjuster + transition probability on the tail subsample
     upper = None
     upper_fit = None
-    if plan.fit_upper and plan.x_upper is not None:
+    if plan.x_upper is not None:
         tail_values = v[v > plan.x_upper]
         if tail_values.size < 4:
             warnings.append("upper step skipped: too few tail observations")
         else:
             tail = OrderedSample.from_values(tail_values, label="upper tail")
 
-            def adjuster_builder(theta):
-                return spec_from_dict(
-                    Family.SHIFTED_WEIBULL,
-                    {
-                        "shift": plan.x_upper,
-                        "sigma": theta["sigma"],
-                        "beta": theta["beta"],
-                    },
+            def upper_model(theta):
+                adjuster = shifted_weibull(plan.x_upper, theta["sigma"], theta["beta"])
+                return AdjustedModel(
+                    base, UpperAdjustment(adjuster, theta["p_upper"], plan.x_upper)
                 )
 
-            builder = _conditional_upper_cdf(base, adjuster_builder, plan.x_upper)
             x0 = {
                 "p_upper": 0.5,
                 "beta": 2.0,
                 "sigma": max(float(np.median(tail_values - plan.x_upper)), 1e-12),
             }
+            # a base the upper mixture cannot take fails here, not in every restart
+            upper_model(x0)
             upper_fit = _fit_generic(
-                tail, builder, ["p_upper", "beta", "sigma"], x0, plan.upper_config
+                tail, lambda theta: partial(tail_cdf, upper_model(theta)),
+                ["p_upper", "beta", "sigma"], x0, plan.upper_config,
             )
             p_hat = upper_fit.theta["p_upper"]
             # boundary estimates are reported as exact 0/1
@@ -454,45 +446,27 @@ def fit_pipeline(sample: OrderedSample, plan: PipelinePlan) -> PipelineResult:
                 p_hat = 0.0
             elif p_hat > 1.0 - 1e-3:
                 p_hat = 1.0
-            adjuster = spec_from_dict(
-                Family.SHIFTED_WEIBULL,
-                {
-                    "shift": plan.x_upper,
-                    "sigma": upper_fit.theta["sigma"],
-                    "beta": upper_fit.theta["beta"],
-                },
-            )
-            upper = UpperAdjustment(adjuster, p_hat, plan.x_upper)
+            upper = upper_model({**upper_fit.theta, "p_upper": p_hat}).upper
 
     # step 3: lower adjuster (endpoint-pinned GPD) on the head subsample
     lower = None
     lower_fit = None
-    if plan.fit_lower and plan.x_lower is not None:
+    if plan.x_lower is not None:
         head_values = v[v < plan.x_lower]
         if head_values.size < 3:
             warnings.append("lower step skipped: too few head observations")
         else:
             head = OrderedSample.from_values(head_values, label="lower head")
-            f_at = float(cdf(base, plan.x_lower))
 
-            def lower_builder(theta):
+            def lower_model(theta):
                 adjuster = lower_gpd_adjuster(theta["gamma_adj_l"], plan.x_lower)
-
-                def cond_cdf(x):
-                    return (
-                        np.asarray(cdf(base, x)) * np.asarray(cdf(adjuster, x)) / f_at
-                    )
-
-                return cond_cdf
+                return AdjustedModel(base, lower=LowerAdjustment(adjuster, plan.x_lower))
 
             lower_fit = _fit_generic(
-                head, lower_builder, ["gamma_adj_l"], {"gamma_adj_l": -0.5},
-                plan.lower_config,
+                head, lambda theta: partial(head_cdf, lower_model(theta)),
+                ["gamma_adj_l"], {"gamma_adj_l": -0.5}, plan.lower_config,
             )
-            lower = LowerAdjustment(
-                lower_gpd_adjuster(lower_fit.theta["gamma_adj_l"], plan.x_lower),
-                plan.x_lower,
-            )
+            lower = lower_model(lower_fit.theta).lower
 
     model = AdjustedModel(base, upper, lower)
     return PipelineResult(model, base_fit, upper_fit, lower_fit, tuple(warnings))

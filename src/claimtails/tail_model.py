@@ -17,7 +17,6 @@ import numpy as np
 
 from .core_dist import (
     DistributionSpec,
-    Family,
     cdf,
     invert_cdf,
     quantile,
@@ -92,28 +91,47 @@ def lower_gpd_adjuster(gamma_adj: float, x_lower: float) -> DistributionSpec:
     return gpd(gamma_adj, -gamma_adj * x_lower, loc=0.0)
 
 
+def _upper_survival(model: AdjustedModel, x, s_base):
+    """Survival S_b*(p*S_a + 1-p) above x_upper, given s_base = S_b(x)."""
+    u = model.upper
+    return s_base * (u.p_upper * survival(u.adjuster, x) + (1.0 - u.p_upper))
+
+
+def _lower_cdf(model: AdjustedModel, x, f_base):
+    """CDF F_b*F_a below x_lower, given f_base = F_b(x)."""
+    return f_base * cdf(model.lower.adjuster, x)
+
+
 def adjusted_survival(model: AdjustedModel, x) -> Union[float, np.ndarray]:
     xv = np.asarray(x, dtype=float)
-    s = survival(model.base, xv) * np.ones_like(xv)
+    sb = survival(model.base, xv)
+    s = sb
     if model.upper is not None:
-        u = model.upper
-        tail = xv >= u.x_upper
+        tail = xv >= model.upper.x_upper
         if np.any(tail):
-            sb = survival(model.base, xv)
-            sa = survival(u.adjuster, xv)
-            mixed = sb * sa * u.p_upper + sb * (1.0 - u.p_upper)
-            s = np.where(tail, mixed, s)
+            s = np.where(tail, _upper_survival(model, xv, sb), s)
     if model.lower is not None:
-        lo = model.lower
-        head = xv <= lo.x_lower
+        head = xv <= model.lower.x_lower
         if np.any(head):
-            f = cdf(model.base, xv) * cdf(lo.adjuster, xv)
-            s = np.where(head, 1.0 - f, s)
+            s = np.where(head, 1.0 - _lower_cdf(model, xv, 1.0 - sb), s)
     return s if np.ndim(x) else float(s)
 
 
 def adjusted_cdf(model: AdjustedModel, x) -> Union[float, np.ndarray]:
     return 1.0 - adjusted_survival(model, x)
+
+
+def tail_cdf(model: AdjustedModel, x) -> Union[float, np.ndarray]:
+    """CDF of the law conditioned on exceeding x_upper, 1 - S(x)/S_b(x_upper),
+    for x >= x_upper (the adjuster leaves S(x_upper) = S_b(x_upper))."""
+    s_at = survival(model.base, model.upper.x_upper)
+    return 1.0 - _upper_survival(model, x, survival(model.base, x)) / s_at
+
+
+def head_cdf(model: AdjustedModel, x) -> Union[float, np.ndarray]:
+    """CDF of the law conditioned on falling below x_lower, F(x)/F_b(x_lower),
+    for x <= x_lower."""
+    return _lower_cdf(model, x, cdf(model.base, x)) / cdf(model.base, model.lower.x_lower)
 
 
 def adjusted_quantile(model: AdjustedModel, p) -> Union[float, np.ndarray]:
@@ -207,43 +225,47 @@ def validate_conditions(
 # ---------------------------------------------------------------------------
 # JSON round-tripping
 
+def _spec_to_dict(spec: DistributionSpec) -> dict:
+    return {"family": spec.family.value, "params": spec.as_dict()}
+
+
 def model_to_dict(model: AdjustedModel) -> dict:
-    out: dict = {
-        "base": {"family": model.base.family.value, "params": model.base.as_dict()}
-    }
+    out: dict = {"base": _spec_to_dict(model.base)}
     if model.upper is not None:
         u = model.upper
         out["upper"] = {
-            "adjuster": {"family": u.adjuster.family.value, "params": u.adjuster.as_dict()},
+            "adjuster": _spec_to_dict(u.adjuster),
             "p_upper": u.p_upper,
             "x_upper": u.x_upper,
         }
     if model.lower is not None:
         lo = model.lower
-        out["lower"] = {
-            "adjuster": {"family": lo.adjuster.family.value, "params": lo.adjuster.as_dict()},
-            "x_lower": lo.x_lower,
-        }
+        out["lower"] = {"adjuster": _spec_to_dict(lo.adjuster), "x_lower": lo.x_lower}
     return out
 
 
 def model_from_dict(d: dict) -> AdjustedModel:
-    base = spec_from_dict(d["base"]["family"], d["base"]["params"])
-    upper = None
-    lower = None
-    if "upper" in d and d["upper"] is not None:
-        u = d["upper"]
-        upper = UpperAdjustment(
-            spec_from_dict(u["adjuster"]["family"], u["adjuster"]["params"]),
-            float(u["p_upper"]),
-            float(u["x_upper"]),
-        )
-    if "lower" in d and d["lower"] is not None:
-        lo = d["lower"]
-        lower = LowerAdjustment(
-            spec_from_dict(lo["adjuster"]["family"], lo["adjuster"]["params"]),
-            float(lo["x_lower"]),
-        )
+    try:
+        base = spec_from_dict(d["base"]["family"], d["base"]["params"])
+        upper = None
+        lower = None
+        if "upper" in d and d["upper"] is not None:
+            u = d["upper"]
+            upper = UpperAdjustment(
+                spec_from_dict(u["adjuster"]["family"], u["adjuster"]["params"]),
+                float(u["p_upper"]),
+                float(u["x_upper"]),
+            )
+        if "lower" in d and d["lower"] is not None:
+            lo = d["lower"]
+            lower = LowerAdjustment(
+                spec_from_dict(lo["adjuster"]["family"], lo["adjuster"]["params"]),
+                float(lo["x_lower"]),
+            )
+    except KeyError as exc:
+        raise ModelInvalidError(f"model is missing the key {exc}") from None
+    except TypeError as exc:
+        raise ModelInvalidError(f"malformed model: {exc}") from None
     return AdjustedModel(base, upper, lower)
 
 

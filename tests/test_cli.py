@@ -85,6 +85,21 @@ class TestConfig:
         r2 = json.loads((out2 / "tail_test.json").read_text())
         assert r1["k"] == 10 and r2["k"] == 25
 
+    @pytest.mark.parametrize("command,line,allowed", [
+        ("fit", "weighting = foo", "normalized, sqrt, unweighted"),
+        ("bootstrap", "weighting = foo", "normalized, sqrt, unweighted"),
+        ("fit", "base_family = exponential", "gpd, pareto"),
+    ])
+    def test_value_outside_flag_choices(self, command, line, allowed, tmp_path, loss_csv,
+                                        capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        rc = main([command, "--input", str(loss_csv), "--config", str(cfg),
+                   "--boot-reps", "2", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and allowed in err
+
 
 class TestFitCommand:
     def test_fit_outputs(self, tmp_path, loss_csv):
@@ -247,5 +262,23 @@ class TestTypedFailures:
         if patch is not None:
             patch(monkeypatch)
         assert main(argv) != 0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("command,model,message", [
+        pytest.param("qq", {"upper": None}, "missing the key 'base'", id="ModelInvalidError"),
+        pytest.param("mechanism", {"base": {"family": "gpd", "params": {"gamma": 0.5, "loc": 0.0}}},
+                     "gpd is missing parameters: sigma", id="ParameterError"),
+        pytest.param("qq", {"base": None}, "malformed model", id="ModelInvalidError-type"),
+    ])
+    def test_malformed_model_json(self, command, model, message, tmp_path, loss_csv, capsys):
+        mpath = tmp_path / "model.json"
+        mpath.write_text(json.dumps(model))
+        common = ["--model", str(mpath), "--out", str(tmp_path / "o")]
+        argv = {
+            "qq": ["qq", "--input", str(loss_csv), *common],
+            "mechanism": ["simulate", "--mode", "mechanism", "-n", "10", *common],
+        }[command]
+        assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import claimtails as ct
+from claimtails import estimation
 from claimtails.estimation import LogDomainError, MadConfig, Weighting, mad_weights
+from claimtails.tail_model import ModelInvalidError
 
 
 def half_cdf(x):
@@ -219,7 +221,8 @@ class TestPipeline:
         assert out.model.upper is None and out.model.lower is None
         assert abs(out.model.base.params[0] - 0.5) < 0.08
 
-    def test_full_recovery(self):
+    @pytest.fixture(scope="class")
+    def full_fit(self):
         truth = ct.AdjustedModel(
             ct.gpd(1.0, 100.0),
             ct.UpperAdjustment(ct.shifted_weibull(800.0, 2000.0, 2.0), 0.6, 800.0),
@@ -227,10 +230,48 @@ class TestPipeline:
         )
         s = ct.sample_mechanism(truth, 20000, seed=11)
         plan = ct.PipelinePlan(base_family=ct.Family.GPD, x_lower=30.0, x_upper=800.0)
-        out = ct.fit_pipeline(s, plan)
+        return ct.fit_pipeline(s, plan)
+
+    def test_full_recovery(self, full_fit):
+        out = full_fit
         assert abs(out.model.base.params[0] - 1.0) < 0.1
         assert abs(out.model.upper.p_upper - 0.6) < 0.1
         assert abs(out.lower_fit.theta["gamma_adj_l"] + 0.7) < 0.15
+        # the parameter vector the CLI bootstraps, in this key order
+        expected = {
+            **out.base_fit.theta,
+            "p_upper": out.model.upper.p_upper,
+            "beta_adj_u": out.upper_fit.theta["beta"],
+            "sigma_adj_u": out.upper_fit.theta["sigma"],
+            "gamma_adj_l": out.lower_fit.theta["gamma_adj_l"],
+        }
+        assert list(out.theta.items()) == list(expected.items())
+
+    def test_full_recovery_model_is_reproduced(self, full_fit):
+        # recorded before the pipeline fitted conditioned AdjustedModels
+        assert ct.model_to_json(full_fit.model) == (
+            '{"base": {"family": "gpd", "params": {"gamma": 1.0087618771370601, "loc": 0.0, '
+            '"sigma": 97.58165745347199}}, "lower": {"adjuster": {"family": "gpd", "params": '
+            '{"gamma": -0.7314034695385205, "loc": 0.0, "sigma": 21.942104086155616}}, '
+            '"x_lower": 30.0}, "upper": {"adjuster": {"family": "shifted_weibull", "params": '
+            '{"beta": 1.9317516975991564, "shift": 800.0, "sigma": 2071.563041746535}}, '
+            '"p_upper": 0.6028004533174722, "x_upper": 800.0}}'
+        )
+
+    def test_bounded_base_rejected_before_upper_fit(self, monkeypatch):
+        s = ct.sample(ct.gpd(-0.3, 1.0), 3000, seed=5)
+        plan = ct.PipelinePlan(base_family=ct.Family.GPD, x_upper=float(s.values[-40]))
+        labels = []
+        objective = estimation.mad_objective
+
+        def recording(sample, model, config):
+            labels.append(sample.label)
+            return objective(sample, model, config)
+
+        monkeypatch.setattr(estimation, "mad_objective", recording)
+        with pytest.raises(ModelInvalidError, match="finite right endpoint"):
+            ct.fit_pipeline(s, plan)
+        assert labels and "upper tail" not in labels
 
     def test_sparse_tail_warns_and_skips(self):
         s = ct.sample(ct.gpd(0.5, 2.0), 500, seed=12)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 import claimtails as ct
-from claimtails.tail_model import ModelInvalidError, ProbeTooFarError
+from claimtails.tail_model import ModelInvalidError, ProbeTooFarError, head_cdf, tail_cdf
 
 
 def weibull_damped_pareto(p_upper: float) -> ct.AdjustedModel:
@@ -57,6 +59,53 @@ class TestAdjustedSurvival:
             np.asarray(ct.adjusted_cdf(m, xs)) - np.asarray(ct.cdf(m.base, xs))
         )
         assert np.max(diff) < 1e-14
+
+
+@st.composite
+def base_laws(draw):
+    if draw(st.booleans()):
+        return ct.pareto(draw(st.floats(0.3, 4.0)), draw(st.floats(0.1, 10.0)))
+    return ct.gpd(draw(st.floats(0.05, 1.5)), draw(st.floats(0.1, 10.0)),
+                  loc=draw(st.floats(0.0, 2.0)))
+
+
+@st.composite
+def upper_models(draw):
+    base = draw(base_laws())
+    x_upper = ct.quantile(base, draw(st.floats(0.6, 0.99)))
+    adjuster = ct.shifted_weibull(x_upper, draw(st.floats(0.5, 100.0)), draw(st.floats(0.5, 5.0)))
+    return ct.AdjustedModel(base, ct.UpperAdjustment(adjuster, draw(st.floats(0.0, 1.0)), x_upper))
+
+
+@st.composite
+def lower_models(draw):
+    base = draw(base_laws())
+    x_lower = ct.quantile(base, draw(st.floats(0.05, 0.5)))
+    adjuster = ct.lower_gpd_adjuster(draw(st.floats(-3.0, -0.05)), x_lower)
+    return ct.AdjustedModel(base, lower=ct.LowerAdjustment(adjuster, x_lower))
+
+
+class TestConditionalLaws:
+    """`tail_cdf` and `head_cdf` condition the composite law on the branch
+    the pipeline fits; they share its formula, so they agree with it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(upper_models(), st.lists(st.floats(1.0, 100.0, exclude_min=True), min_size=1,
+                                    max_size=20).map(np.array))
+    def test_tail_cdf_is_survival_ratio_bit_for_bit(self, m, ratio):
+        # S(x_upper) = S_b(x_upper) exactly: S_a(x_upper) = 1 and p + fl(1-p) = 1
+        x = m.upper.x_upper * ratio
+        expected = 1.0 - ct.adjusted_survival(m, x) / ct.adjusted_survival(m, m.upper.x_upper)
+        np.testing.assert_array_equal(tail_cdf(m, x), expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lower_models(), st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                                    min_size=1, max_size=20).map(np.array))
+    def test_head_cdf_times_base_cdf_is_composite_cdf(self, m, frac):
+        x = m.lower.x_lower * frac
+        scaled = head_cdf(m, x) * ct.cdf(m.base, m.lower.x_lower)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(scaled - ct.adjusted_cdf(m, x))) <= 4 * eps
 
 
 class TestAdjustedQuantile:
