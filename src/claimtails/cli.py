@@ -73,26 +73,36 @@ def write_csv(path: Path, header: list, rows) -> None:
 
 
 def read_loss_csv(path: str, column: str = "loss") -> OrderedSample:
-    """Read one positive numeric loss column from a headered CSV."""
+    """Read one positive numeric loss column from a headered CSV.
+
+    Blank lines are skipped and data rows numbered from 2, as by
+    `csv.DictReader`; a short row reads as an empty value.
+    """
     try:
         fh = open(path, newline="")
     except OSError as exc:
         raise InputError(f"cannot read input file {path}: {exc}") from exc
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or column not in reader.fieldnames:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or column not in header:
             raise InputError(f"column '{column}' not found in {path}")
-        values = []
-        for row_no, row in enumerate(reader, start=2):
-            raw = (row.get(column) or "").strip()
+        col = len(header) - 1 - header[::-1].index(column)  # last one wins, as in a dict
+        raw = [row[col].strip() if col < len(row) else "" for row in reader if row]
+    try:
+        values = np.array([float(text) for text in raw])
+    except ValueError:
+        values = None
+    if values is None or not np.all(np.isfinite(values) & (values > 0)):
+        # row by row only to name the first bad row
+        for row_no, text in enumerate(raw, start=2):
             try:
-                value = float(raw)
+                value = float(text)
             except ValueError:
-                raise InputError(f"non-numeric value '{raw}' at row {row_no}") from None
+                raise InputError(f"non-numeric value '{text}' at row {row_no}") from None
             if not np.isfinite(value) or value <= 0:
                 raise InputError(f"non-positive loss {value} at row {row_no}")
-            values.append(value)
-    if not values:
+    if not raw:
         raise InputError(f"no loss values found in {path}")
     return OrderedSample.from_values(values, label=os.path.basename(path))
 
@@ -181,8 +191,13 @@ def _mad_config(cfg: dict) -> MadConfig:
     weighting = _WEIGHTINGS[_cfg_choice(cfg, "weighting", _WEIGHTINGS, "normalized")]
     rank_range = None
     if cfg.get("rank_range"):
-        lo, hi = str(cfg["rank_range"]).split(":")
-        rank_range = (int(lo), int(hi))
+        try:
+            lo, hi = (int(part) for part in str(cfg["rank_range"]).split(":"))
+        except ValueError:
+            raise InputError(
+                f"--rank-range must be LO:HI with integer ranks, got '{cfg['rank_range']}'"
+            ) from None
+        rank_range = (lo, hi)
     return MadConfig(weighting=weighting, rank_range=rank_range)
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -22,15 +22,16 @@ from .core_dist import (
     cdf,
     shifted_weibull,
     spec_from_dict,
+    survival,
 )
 from .tail_model import (
     AdjustedModel,
     LowerAdjustment,
     UpperAdjustment,
+    _head_cdf,
+    _tail_cdf,
     adjusted_cdf,
-    head_cdf,
     lower_gpd_adjuster,
-    tail_cdf,
 )
 
 
@@ -122,6 +123,24 @@ def mad_weights(weighting: Weighting, ranks: np.ndarray, n: int) -> np.ndarray:
     raise ValueError("unweighted mode has no rank weights")
 
 
+@lru_cache(maxsize=1)
+def _rank_terms(n: int, i_lo: int, i_hi: int, weighting: Weighting) -> tuple:
+    """Read-only rank factors (a, b, w) of the summands a*log F + b*log(1-F)
+    over ranks i_lo..i_hi of n; w is None in unweighted mode.
+
+    A fit evaluates one key many times in a row, so one entry suffices.
+    """
+    ranks = np.arange(i_lo, i_hi + 1, dtype=float)
+    if weighting == Weighting.UNWEIGHTED:
+        terms = (ranks - 0.5, n - ranks + 0.5, None)
+    else:
+        terms = (ranks, n - ranks + 1, mad_weights(weighting, ranks, n))
+    for arr in terms:
+        if arr is not None:
+            arr.flags.writeable = False
+    return terms
+
+
 def mad_objective(sample: OrderedSample, model, config: MadConfig) -> float:
     """Fit objective over the configured rank range.
 
@@ -133,12 +152,10 @@ def mad_objective(sample: OrderedSample, model, config: MadConfig) -> float:
     n = sample.n
     i_lo, i_hi = config.resolve_ranks(n)
     f = _cdf_values(sample, model)[i_lo - 1 : i_hi]
-    ranks = np.arange(i_lo, i_hi + 1, dtype=float)
-    if config.weighting == Weighting.UNWEIGHTED:
-        s = (ranks - 0.5) * np.log(f) + (n - ranks + 0.5) * np.log1p(-f)
+    a, b, w = _rank_terms(n, i_lo, i_hi, config.weighting)
+    s = a * np.log(f) + b * np.log1p(-f)
+    if w is None:
         return float(np.sum(s) / n)
-    w = mad_weights(config.weighting, ranks, n)
-    s = ranks * np.log(f) + (n - ranks + 1) * np.log1p(-f)
     return float(np.sum(w * s))
 
 
@@ -404,8 +421,13 @@ def fit_pipeline(sample: OrderedSample, plan: PipelinePlan) -> PipelineResult:
     cfg1 = plan.base_config
     rlo, rhi = int(mid_ranks[0]), int(mid_ranks[-1])
     if cfg1.rank_range is not None:
-        rlo = max(rlo, cfg1.rank_range[0])
-        rhi = min(rhi, cfg1.rank_range[1])
+        lo, hi = max(rlo, cfg1.rank_range[0]), min(rhi, cfg1.rank_range[1])
+        if lo > hi:
+            raise ValueError(
+                f"rank range {tuple(cfg1.rank_range)} contains none of the ranks "
+                f"{rlo}..{rhi} between the thresholds"
+            )
+        rlo, rhi = lo, hi
     cfg1 = replace(cfg1, rank_range=(rlo, rhi))
     base_fixed = dict(plan.base_fixed)
     if plan.base_family == Family.GPD:
@@ -436,8 +458,12 @@ def fit_pipeline(sample: OrderedSample, plan: PipelinePlan) -> PipelineResult:
             }
             # a base the upper mixture cannot take fails here, not in every restart
             upper_model(x0)
+            # the base is fixed here: S_b on the tail and at x_upper, once per step
+            s_tail = survival(base, tail.values)
+            s_at = survival(base, plan.x_upper)
             upper_fit = _fit_generic(
-                tail, lambda theta: partial(tail_cdf, upper_model(theta)),
+                tail,
+                lambda theta: partial(_tail_cdf, upper_model(theta), s_base=s_tail, s_at=s_at),
                 ["p_upper", "beta", "sigma"], x0, plan.upper_config,
             )
             p_hat = upper_fit.theta["p_upper"]
@@ -462,8 +488,11 @@ def fit_pipeline(sample: OrderedSample, plan: PipelinePlan) -> PipelineResult:
                 adjuster = lower_gpd_adjuster(theta["gamma_adj_l"], plan.x_lower)
                 return AdjustedModel(base, lower=LowerAdjustment(adjuster, plan.x_lower))
 
+            f_head = cdf(base, head.values)
+            f_at = cdf(base, plan.x_lower)
             lower_fit = _fit_generic(
-                head, lambda theta: partial(head_cdf, lower_model(theta)),
+                head,
+                lambda theta: partial(_head_cdf, lower_model(theta), f_base=f_head, f_at=f_at),
                 ["gamma_adj_l"], {"gamma_adj_l": -0.5}, plan.lower_config,
             )
             lower = lower_model(lower_fit.theta).lower

@@ -121,17 +121,28 @@ def adjusted_cdf(model: AdjustedModel, x) -> Union[float, np.ndarray]:
     return 1.0 - adjusted_survival(model, x)
 
 
+def _tail_cdf(model: AdjustedModel, x, s_base, s_at):
+    """`tail_cdf` given s_base = S_b(x) and s_at = S_b(x_upper)."""
+    return 1.0 - _upper_survival(model, x, s_base) / s_at
+
+
+def _head_cdf(model: AdjustedModel, x, f_base, f_at):
+    """`head_cdf` given f_base = F_b(x) and f_at = F_b(x_lower)."""
+    return _lower_cdf(model, x, f_base) / f_at
+
+
 def tail_cdf(model: AdjustedModel, x) -> Union[float, np.ndarray]:
     """CDF of the law conditioned on exceeding x_upper, 1 - S(x)/S_b(x_upper),
     for x >= x_upper (the adjuster leaves S(x_upper) = S_b(x_upper))."""
-    s_at = survival(model.base, model.upper.x_upper)
-    return 1.0 - _upper_survival(model, x, survival(model.base, x)) / s_at
+    return _tail_cdf(
+        model, x, survival(model.base, x), survival(model.base, model.upper.x_upper)
+    )
 
 
 def head_cdf(model: AdjustedModel, x) -> Union[float, np.ndarray]:
     """CDF of the law conditioned on falling below x_lower, F(x)/F_b(x_lower),
     for x <= x_lower."""
-    return _lower_cdf(model, x, cdf(model.base, x)) / cdf(model.base, model.lower.x_lower)
+    return _head_cdf(model, x, cdf(model.base, x), cdf(model.base, model.lower.x_lower))
 
 
 def adjusted_quantile(model: AdjustedModel, p) -> Union[float, np.ndarray]:

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import claimtails as ct
 from claimtails import claim_process, estimation, gof
 from claimtails.claim_process import NumericFailureError
-from claimtails.cli import main, read_config_file, read_loss_csv
+from claimtails.cli import InputError, main, read_config_file, read_loss_csv
 from claimtails.estimation import FitFailedError
 from claimtails.tail_model import ProbeTooFarError
 
@@ -59,6 +60,53 @@ class TestCsvIngestion:
             read_loss_csv(str(path))
 
 
+def reference_read_loss_column(path, column="loss"):
+    """Values, or the first error message, as `csv.DictReader` reads them."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or column not in reader.fieldnames:
+            return f"column '{column}' not found in {path}"
+        values = []
+        for row_no, row in enumerate(reader, start=2):
+            raw = (row.get(column) or "").strip()
+            try:
+                value = float(raw)
+            except ValueError:
+                return f"non-numeric value '{raw}' at row {row_no}"
+            if not np.isfinite(value) or value <= 0:
+                return f"non-positive loss {value} at row {row_no}"
+            values.append(value)
+    return sorted(values) if values else f"no loss values found in {path}"
+
+
+class TestCsvAgainstDictReader:
+    @pytest.mark.parametrize("text", [
+        pytest.param("id,loss\n1, 2.5 \n\n2,1e-3\n\n", id="blank-lines-and-spaces"),
+        pytest.param("id,loss,note\n1,2.0,a,extra\n2,3.5\n", id="long-and-full-rows"),
+        pytest.param("id,loss\n1,2.0\n\n2\n", id="short-row-after-blank"),
+        pytest.param("loss,id,loss\n1.0,7,2.0\n3.0,8\n", id="duplicate-column-short"),
+        pytest.param("loss\n1.0\n-2.0\noops\n", id="non-positive-first"),
+        pytest.param("loss\n1.0\n\noops\n-2.0\n", id="non-numeric-first"),
+        pytest.param("loss\n1.0\nnan\n", id="nan"),
+        pytest.param("loss\ninf\n", id="inf"),
+        pytest.param("loss\n0\n", id="zero"),
+        pytest.param("loss\n1_000.5\n", id="underscore"),
+        pytest.param("loss\n\n\n", id="only-blank-rows"),
+        pytest.param("\nloss\n1.0\n", id="blank-header"),
+        pytest.param("", id="empty-file"),
+    ])
+    def test_same_values_and_errors(self, text, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        expected = reference_read_loss_column(str(path))
+        if isinstance(expected, str):
+            with pytest.raises(InputError) as ei:
+                read_loss_csv(str(path))
+            assert str(ei.value) == expected
+        else:
+            np.testing.assert_array_equal(read_loss_csv(str(path)).values, expected)
+
+
 class TestConfig:
     def test_parse_and_comments(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -99,6 +147,15 @@ class TestConfig:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and allowed in err
+
+
+    @pytest.mark.parametrize("value", ["5", "a:b"])
+    def test_malformed_rank_range(self, value, tmp_path, loss_csv, capsys):
+        rc = main(["fit", "--input", str(loss_csv), "--rank-range", value,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --rank-range must be LO:HI with integer ranks, got '{value}'\n"
 
 
 class TestFitCommand:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import claimtails as ct
-from claimtails import estimation
+from claimtails import estimation, resampling
 from claimtails.estimation import LogDomainError, MadConfig, Weighting, mad_weights
 from claimtails.tail_model import ModelInvalidError
 
@@ -84,6 +86,51 @@ class TestMadObjective:
             ct.mad_objective(s, half_cdf, MadConfig(rank_range=(0, 3)))
         with pytest.raises(ValueError):
             ct.mad_objective(s, half_cdf, MadConfig(rank_range=(2, 5)))
+
+
+def reference_mad_objective(sample, cdf_fn, config):
+    """`mad_objective` as written before its rank terms were cached."""
+    n = sample.n
+    i_lo, i_hi = config.resolve_ranks(n)
+    f = np.asarray(cdf_fn(sample.values))[i_lo - 1 : i_hi]
+    ranks = np.arange(i_lo, i_hi + 1, dtype=float)
+    if config.weighting == Weighting.UNWEIGHTED:
+        s = (ranks - 0.5) * np.log(f) + (n - ranks + 0.5) * np.log1p(-f)
+        return float(np.sum(s) / n)
+    w = mad_weights(config.weighting, ranks, n)
+    s = ranks * np.log(f) + (n - ranks + 1) * np.log1p(-f)
+    return float(np.sum(w * s))
+
+
+class TestCachedRankTerms:
+    @settings(max_examples=100)
+    @given(st.integers(1, 300), st.integers(0, 300), st.integers(0, 200),
+           st.integers(1, 200), st.integers(0, 2**32 - 1))
+    def test_matches_reference_bit_for_bit(self, i_lo, width, extra, gap, seed):
+        # two sample sizes share one rank range; alternating sizes, ranges and
+        # weightings between calls would expose a stale cache entry
+        rng = np.random.default_rng(seed)
+        i_hi = i_lo + width
+        samples = [
+            ct.OrderedSample.from_values(rng.uniform(1e-3, 1 - 1e-3, i_hi + extra + k * gap))
+            for k in (0, 1)
+        ]
+        configs = [
+            MadConfig(weighting=w, rank_range=r)
+            for r in ((i_lo, i_hi), None) for w in Weighting
+        ]
+        for s in samples + samples:
+            for cfg in configs:
+                got = ct.mad_objective(s, lambda x: x, cfg)
+                assert got == reference_mad_objective(s, lambda x: x, cfg)
+
+    def test_cached_arrays_are_read_only(self):
+        for weighting in Weighting:
+            for arr in estimation._rank_terms(50, 3, 40, weighting):
+                if arr is not None:
+                    assert not arr.flags.writeable
+                    with pytest.raises(ValueError):
+                        arr[0] = 0.0
 
 
 class TestFitMad:
@@ -272,6 +319,69 @@ class TestPipeline:
         with pytest.raises(ModelInvalidError, match="finite right endpoint"):
             ct.fit_pipeline(s, plan)
         assert labels and "upper tail" not in labels
+
+    @staticmethod
+    def small_composite():
+        truth = ct.AdjustedModel(
+            ct.gpd(0.6, 1.0),
+            ct.UpperAdjustment(ct.shifted_weibull(10.0, 15.0, 2.0), 0.5, 10.0),
+            ct.LowerAdjustment(ct.lower_gpd_adjuster(-0.5, 0.2), 0.2),
+        )
+        s = ct.sample_mechanism(truth, 800, seed=21)  # 26 tail, 130 head points
+        return s, ct.PipelinePlan(base_family=ct.Family.GPD, x_lower=0.2, x_upper=10.0)
+
+    def test_rank_weights_built_once_per_step(self, monkeypatch):
+        s, plan = self.small_composite()
+        weight_calls = []
+        evaluations = []
+        weights = estimation.mad_weights
+        objective = estimation.mad_objective
+
+        def counting_weights(weighting, ranks, n):
+            weight_calls.append(n)
+            return weights(weighting, ranks, n)
+
+        def counting_objective(sample, model, config):
+            evaluations.append(sample.label)
+            return objective(sample, model, config)
+
+        monkeypatch.setattr(estimation, "mad_weights", counting_weights)
+        monkeypatch.setattr(estimation, "mad_objective", counting_objective)
+        ct.fit_pipeline(s, plan)
+        assert {"upper tail", "lower head"} <= set(evaluations)
+        assert len(evaluations) > 100
+        assert len(weight_calls) <= 3
+
+    def test_bootstrap_replicates_are_reproduced(self):
+        # recorded before the objective cached its rank terms and the steps
+        # their base values
+        s, plan = self.small_composite()
+        out = resampling.bootstrap_fit(
+            s, lambda r: ct.fit_pipeline(r, plan).theta, 3, 5, keep_replicates=True
+        )
+        assert out.replicates == [
+            {"gamma": 0.5250016688827037, "sigma": 0.975014422051785,
+             "p_upper": 0.5057052431358711, "beta_adj_u": 99.99844747789554,
+             "sigma_adj_u": 20.33811309796393, "gamma_adj_l": -0.3913183569908142},
+            {"gamma": 0.5184658009902041, "sigma": 1.1099919608785727,
+             "p_upper": 0.329924366899062, "beta_adj_u": 3.802077661478964,
+             "sigma_adj_u": 2.909329804831676, "gamma_adj_l": -0.24972075167845026},
+            {"gamma": 0.6700798769646689, "sigma": 0.9086776349320899,
+             "p_upper": 0.6033003846834895, "beta_adj_u": 9.617229613099589,
+             "sigma_adj_u": 12.738182810410153, "gamma_adj_l": -0.4866657957954753},
+        ]
+
+    def test_rank_range_outside_thresholds_is_named(self):
+        s = ct.sample(ct.gpd(0.5, 2.0), 600, seed=17)
+        plan = ct.PipelinePlan(
+            base_family=ct.Family.GPD,
+            x_lower=float(s.values[10]),
+            x_upper=float(s.values[400]),
+            base_config=MadConfig(rank_range=(590, 600)),
+        )
+        with pytest.raises(ValueError, match=r"rank range \(590, 600\) contains none of "
+                                             r"the ranks 11\.\.401 between the thresholds"):
+            ct.fit_pipeline(s, plan)
 
     def test_sparse_tail_warns_and_skips(self):
         s = ct.sample(ct.gpd(0.5, 2.0), 500, seed=12)

@@ -42,19 +42,19 @@ probabilities = st.lists(unit, min_size=1, max_size=20).map(np.array)
 
 
 class TestAdjustedQuantileProperties:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(composite_models(), probabilities)
     def test_cdf_of_quantile_recovers_p(self, model, p):
         q = ct.adjusted_quantile(model, p)
         assert np.max(np.abs(ct.adjusted_cdf(model, q) - p)) <= 1e-12
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(composite_models(), probabilities)
     def test_non_decreasing(self, model, p):
         p = np.sort(p)
         assert np.all(np.diff(ct.adjusted_quantile(model, p)) >= 0)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(composite_models(), probabilities)
     def test_array_equals_scalar_calls(self, model, p):
         q = ct.adjusted_quantile(model, p)
@@ -62,7 +62,7 @@ class TestAdjustedQuantileProperties:
         assert all(isinstance(v, float) for v in scalars)
         np.testing.assert_array_equal(q, scalars)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(composite_models(), unit)
     def test_target_outside_bracket_raises(self, model, p):
         q = ct.adjusted_quantile(model, p)

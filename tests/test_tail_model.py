@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 import claimtails as ct
-from claimtails.tail_model import ModelInvalidError, ProbeTooFarError, head_cdf, tail_cdf
+from claimtails.tail_model import (
+    ModelInvalidError,
+    ProbeTooFarError,
+    _head_cdf,
+    _tail_cdf,
+    head_cdf,
+    tail_cdf,
+)
 
 
 def weibull_damped_pareto(p_upper: float) -> ct.AdjustedModel:
@@ -89,7 +96,7 @@ class TestConditionalLaws:
     """`tail_cdf` and `head_cdf` condition the composite law on the branch
     the pipeline fits; they share its formula, so they agree with it."""
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(upper_models(), st.lists(st.floats(1.0, 100.0, exclude_min=True), min_size=1,
                                     max_size=20).map(np.array))
     def test_tail_cdf_is_survival_ratio_bit_for_bit(self, m, ratio):
@@ -98,7 +105,7 @@ class TestConditionalLaws:
         expected = 1.0 - ct.adjusted_survival(m, x) / ct.adjusted_survival(m, m.upper.x_upper)
         np.testing.assert_array_equal(tail_cdf(m, x), expected)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(lower_models(), st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
                                     min_size=1, max_size=20).map(np.array))
     def test_head_cdf_times_base_cdf_is_composite_cdf(self, m, frac):
@@ -106,6 +113,25 @@ class TestConditionalLaws:
         scaled = head_cdf(m, x) * ct.cdf(m.base, m.lower.x_lower)
         eps = np.finfo(float).eps
         assert np.max(np.abs(scaled - ct.adjusted_cdf(m, x))) <= 4 * eps
+
+    # the pipeline evaluates the fixed base once per step and passes its values
+    @settings(max_examples=100)
+    @given(upper_models(), st.lists(st.floats(1.0, 100.0), min_size=1,
+                                    max_size=20).map(np.array))
+    def test_tail_cdf_from_base_values_bit_for_bit(self, m, ratio):
+        x = m.upper.x_upper * ratio
+        s_base = ct.survival(m.base, x)
+        s_at = ct.survival(m.base, m.upper.x_upper)
+        np.testing.assert_array_equal(_tail_cdf(m, x, s_base, s_at), tail_cdf(m, x))
+
+    @settings(max_examples=100)
+    @given(lower_models(), st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1,
+                                    max_size=20).map(np.array))
+    def test_head_cdf_from_base_values_bit_for_bit(self, m, frac):
+        x = m.lower.x_lower * frac
+        f_base = ct.cdf(m.base, x)
+        f_at = ct.cdf(m.base, m.lower.x_lower)
+        np.testing.assert_array_equal(_head_cdf(m, x, f_base, f_at), head_cdf(m, x))
 
 
 class TestAdjustedQuantile:
