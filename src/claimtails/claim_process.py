@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core_dist import (
     DistributionSpec,
@@ -109,6 +108,8 @@ def thinned_cdf(spec: ThinningSpec, x: float) -> float:
         return 0.0
     if spec.sigma_t is None:
         return float(cdf(spec.base, x))
+    from scipy.integrate import quad
+
     st = spec.sigma_t
 
     def integrand(y):

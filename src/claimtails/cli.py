@@ -171,12 +171,22 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _cfg_float(cfg, key):
-    return None if key not in cfg else float(cfg[key])
+def _cfg_float(cfg, key, default=None):
+    if key not in cfg:
+        return default
+    try:
+        return float(cfg[key])
+    except ValueError:
+        raise InputError(f"{key} must be a number, got '{cfg[key]}'") from None
 
 
 def _cfg_int(cfg, key, default=None):
-    return default if key not in cfg else int(cfg[key])
+    if key not in cfg:
+        return default
+    try:
+        return int(cfg[key])
+    except ValueError:
+        raise InputError(f"{key} must be an integer, got '{cfg[key]}'") from None
 
 
 def _cfg_choice(cfg, key, choices, default):
@@ -236,7 +246,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "lower_fit": result.lower_fit.as_dict() if result.lower_fit else None,
         "warnings": list(result.warnings),
         "n": sample.n,
-        "seed": int(cfg["seed"]),
+        "seed": _cfg_int(cfg, "seed"),
     }
     write_json(out / "fit_report.json", report)
     # standalone model file, consumable by the qq and simulate subcommands
@@ -265,7 +275,7 @@ def cmd_tail_test(args: argparse.Namespace) -> int:
     if k is None:
         raise InputError("tail test needs --test-k")
     reps = _cfg_int(cfg, "test_reps", 10_000)
-    result = gof.pareto_tail_test(sample, k, reps=reps, seed=int(cfg["seed"]))
+    result = gof.pareto_tail_test(sample, k, reps=reps, seed=_cfg_int(cfg, "seed"))
     out = Path(cfg["out"])
     write_json(out / "tail_test.json", result.as_dict())
     print(f"m={result.m} k={result.k} p_value={result.p_value:.4f}")
@@ -277,9 +287,11 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
     sample = read_loss_csv(cfg["input"], cfg["column"])
     plan = _build_plan(cfg, sample)
     B = _cfg_int(cfg, "boot_reps", 200)
+    # one worker per CPU this process may run on; serial where the OS cannot say
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     summary = resampling.bootstrap_fit(
         sample, lambda resample: estimation.fit_pipeline(resample, plan).theta,
-        B, int(cfg["seed"]), keep_replicates=True,
+        B, _cfg_int(cfg, "seed"), keep_replicates=True, workers=workers,
     )
     out = Path(cfg["out"])
     write_json(out / "bootstrap.json", summary.as_dict())
@@ -293,15 +305,15 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     out = Path(cfg["out"])
-    seed = int(cfg["seed"])
+    seed = _cfg_int(cfg, "seed")
     mode = cfg.get("mode", "inflation")
     if mode == "inflation":
         sc = claim_process.InflationScenario(
-            alpha=float(cfg.get("alpha", 1.0)),
-            inflation_factor=float(cfg.get("inflation_factor", 1.05)),
-            years=int(cfg.get("years", 10)),
-            threshold=float(cfg.get("threshold", 0.01)),
-            base_rate=float(cfg.get("base_rate", 100.0)),
+            alpha=_cfg_float(cfg, "alpha", 1.0),
+            inflation_factor=_cfg_float(cfg, "inflation_factor", 1.05),
+            years=_cfg_int(cfg, "years", 10),
+            threshold=_cfg_float(cfg, "threshold", 0.01),
+            base_rate=_cfg_float(cfg, "base_rate", 100.0),
         )
         sim = claim_process.simulate_inflation_scenario(sc, seed)
         for kind in ("raw", "inflated"):
@@ -313,15 +325,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if "model" not in cfg:
             raise InputError("mechanism simulation needs --model")
         model = model_from_json(Path(cfg["model"]).read_text())
-        n = int(cfg.get("n", 10_000))
+        n = _cfg_int(cfg, "n", 10_000)
         s = claim_process.sample_mechanism(model, n, seed)
         write_csv(out / "mechanism_sample.csv", ["loss"],
                   ((v,) for v in s.values.tolist()))
         print(f"wrote {n} mechanism draws to {out}")
     elif mode == "thinning":
-        sigma = float(cfg.get("sigma", 1.0))
-        sigma_t = float(cfg.get("sigma_t", 1.0))
-        n = int(cfg.get("n", 10_000))
+        sigma = _cfg_float(cfg, "sigma", 1.0)
+        sigma_t = _cfg_float(cfg, "sigma_t", 1.0)
+        n = _cfg_int(cfg, "n", 10_000)
         s = claim_process.sample_thinned(sigma, sigma_t, n, seed)
         write_csv(out / "thinned_sample.csv", ["loss"], ((v,) for v in s.values.tolist()))
         print(f"wrote {n} thinned draws to {out}")

@@ -12,7 +12,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.stats import genpareto
 
 from .core_dist import (
     PARAM_NAMES,
@@ -324,6 +323,8 @@ def fit_mad(
 
 def fit_gpd_ml(sample: OrderedSample, loc: float = 0.0) -> dict:
     """Maximum-likelihood GPD fit of excesses over `loc` (scipy)."""
+    from scipy.stats import genpareto
+
     excess = sample.values - loc
     if np.any(excess <= 0):
         raise ValueError("all observations must exceed the location")
@@ -408,6 +409,8 @@ class PipelineResult:
 def fit_pipeline(sample: OrderedSample, plan: PipelinePlan) -> PipelineResult:
     """Three-step composite fit: base on the middle range, upper adjuster and
     transition probability on the tail, lower adjuster on the head."""
+    if plan.x_lower is not None and plan.x_upper is not None and plan.x_lower >= plan.x_upper:
+        raise ValueError(f"x_lower ({plan.x_lower}) must be below x_upper ({plan.x_upper})")
     v = sample.values
     warnings = []
     x_lo = plan.x_lower if plan.x_lower is not None else -np.inf

@@ -10,7 +10,6 @@ from enum import Enum
 from typing import Union
 
 import numpy as np
-from scipy.stats import norm
 
 from .core_dist import DistributionSpec, OrderedSample, edf_positions
 from .tail_model import AdjustedModel, adjusted_cdf, adjusted_quantile
@@ -161,6 +160,8 @@ def qq_coordinates(
         empirical = sample.values.astype(float)
         keep = np.ones(n, dtype=bool)
     elif margins == Margins.STANDARD_NORMAL:
+        from scipy.stats import norm
+
         keep = (f_emp > 0.0) & (f_emp < 1.0)
         theoretical = norm.ppf(pos)
         empirical = np.full(n, np.nan)

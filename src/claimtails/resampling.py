@@ -4,6 +4,8 @@ degenerate-fit accounting for the estimation closures.
 
 from __future__ import annotations
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -45,6 +47,59 @@ class BootstrapSummary:
         }
 
 
+def _replicate(sample: OrderedSample, fit_closure: Callable, seed: int, b: int):
+    """Fit replicate `b`: its theta as plain floats, or None if the fit raised."""
+    rng = substream(seed, b)
+    idx = rng.integers(0, sample.n, size=sample.n)
+    resample = OrderedSample.from_values(sample.values[idx], label=f"replicate {b}")
+    try:
+        theta = fit_closure(resample)
+    except Exception:
+        return None
+    return {k: float(v) for k, v in theta.items()}
+
+
+# (sample, fit_closure, seed); set only inside forked pool workers
+_worker_args = None
+
+
+def _init_worker(*args) -> None:
+    global _worker_args
+    _worker_args = args
+
+
+def _run_chunk(indices: range) -> list:
+    return [_replicate(*_worker_args, b) for b in indices]
+
+
+def _run_replicates(sample, fit_closure, B: int, seed: int, workers: int) -> list:
+    """Per-replicate results in replicate order, None for a failed fit.
+
+    Replicates are cut into `workers` contiguous chunks; this process runs
+    the first and forked workers the rest.  Under `fork` the pool's initargs
+    are inherited rather than pickled, so the closure may be a lambda; only
+    index ranges and theta dicts cross process boundaries.
+    """
+    workers = min(workers, B)
+    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [_replicate(sample, fit_closure, seed, b) for b in range(B)]
+    bounds = [B * w // workers for w in range(workers + 1)]
+    with ProcessPoolExecutor(
+        workers - 1,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(sample, fit_closure, seed),
+    ) as pool:
+        futures = [
+            pool.submit(_run_chunk, range(bounds[w], bounds[w + 1]))
+            for w in range(1, workers)
+        ]
+        results = [_replicate(sample, fit_closure, seed, b) for b in range(bounds[1])]
+        for future in futures:
+            results.extend(future.result())
+    return results
+
+
 def bootstrap_fit(
     sample: OrderedSample,
     fit_closure: Callable,
@@ -52,29 +107,28 @@ def bootstrap_fit(
     seed: int,
     level: float = 0.90,
     keep_replicates: bool = False,
+    workers: int = 1,
 ) -> BootstrapSummary:
     """Nonparametric bootstrap of any fitting closure.
 
     `fit_closure(OrderedSample) -> dict[str, float]`; replicates that raise
     are excluded and counted.  The full sample is resampled with
     replacement; per-replicate resampling streams derive deterministically
-    from the seed.
+    from the seed, so the result does not depend on `workers`.
+
+    With `workers > 1`, up to `min(workers, B)` processes (this one and
+    forked children) share the replicates, so `fit_closure` must be a pure
+    function of its resample.  Where the platform cannot fork, replicates
+    run serially.  A worker that dies raises `BrokenProcessPool`, a
+    `RuntimeError`.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
-    n = sample.n
-    params_per_rep = []
-    failed = 0
-    for b in range(B):
-        rng = substream(seed, b)
-        idx = rng.integers(0, n, size=n)
-        resample = OrderedSample.from_values(sample.values[idx], label=f"replicate {b}")
-        try:
-            theta = fit_closure(resample)
-        except Exception:
-            failed += 1
-            continue
-        params_per_rep.append({k: float(v) for k, v in theta.items()})
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    results = _run_replicates(sample, fit_closure, B, seed, workers)
+    params_per_rep = [theta for theta in results if theta is not None]
+    failed = B - len(params_per_rep)
     if not params_per_rep:
         raise BootstrapFailedError("all bootstrap replicates failed")
 

@@ -1,11 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import claimtails as ct
-from claimtails import claim_process, estimation, gof
+from claimtails import claim_process, estimation, gof, resampling
 from claimtails.claim_process import NumericFailureError
 from claimtails.cli import InputError, main, read_config_file, read_loss_csv
 from claimtails.estimation import FitFailedError
@@ -148,6 +153,18 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and allowed in err
 
+    @pytest.mark.parametrize("command,line,message", [
+        ("bootstrap", "boot_reps = four", "boot_reps must be an integer, got 'four'"),
+        ("fit", "x_upper = high", "x_upper must be a number, got 'high'"),
+    ])
+    def test_non_numeric_value_is_named(self, command, line, message, tmp_path, loss_csv,
+                                        capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        rc = main([command, "--input", str(loss_csv), "--config", str(cfg),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("value", ["5", "a:b"])
     def test_malformed_rank_range(self, value, tmp_path, loss_csv, capsys):
@@ -183,6 +200,12 @@ class TestFitCommand:
         first = (out / "fit_report.json").read_bytes()
         assert main(args) == 0
         assert (out / "fit_report.json").read_bytes() == first
+
+    def test_swapped_thresholds_are_named(self, tmp_path, loss_csv, capsys):
+        rc = main(["fit", "--input", str(loss_csv), "--x-lower", "5", "--x-upper", "2",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: x_lower (5.0) must be below x_upper (2.0)\n"
 
 
 class TestTailTestCommand:
@@ -270,6 +293,26 @@ class TestBootstrapCommand:
         reps = (out / "bootstrap_replicates.csv").read_text().strip().splitlines()
         assert len(reps) == 9 - summary["failed"]
 
+    def test_outputs_do_not_depend_on_cpu_count(self, tmp_path, loss_csv, monkeypatch):
+        pools = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(resampling, "ProcessPoolExecutor", RecordingPool)
+        outputs = []
+        for cpus in ({0}, {0, 1, 2}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            out = tmp_path / f"boot{len(cpus)}"
+            assert main(["bootstrap", "--input", str(loss_csv), "--base-family", "gpd",
+                         "--boot-reps", "5", "--seed", "3", "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("bootstrap.json", "bootstrap_replicates.csv")])
+        assert outputs[0] == outputs[1]
+        assert pools == [2]  # one CPU: no pool; three CPUs: this process and two workers
+
 
 def _raise(exc):
     def fail(*args, **kwargs):
@@ -290,6 +333,18 @@ def _probes_too_far(monkeypatch):
     monkeypatch.setattr(gof, "qq_coordinates", _raise(ProbeTooFarError("base survival underflows")))
 
 
+def _worker_dies(monkeypatch):
+    parent = os.getpid()
+
+    def fit_pipeline(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        raise FitFailedError("no restart converged")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(estimation, "fit_pipeline", fit_pipeline)
+
+
 class TestTypedFailures:
     """Library failures end as an `error:` line and a non-zero exit."""
 
@@ -298,6 +353,7 @@ class TestTypedFailures:
         # every replicate's fit fails, so the bootstrap itself fails
         pytest.param("bootstrap", _fails_to_fit, "all bootstrap replicates failed",
                      id="BootstrapFailedError"),
+        pytest.param("bootstrap", _worker_dies, "terminated abruptly", id="BrokenProcessPool"),
         pytest.param("thinning", _fails_quadrature, "integral failed", id="NumericFailureError"),
         pytest.param("qq", _probes_too_far, "underflows", id="ProbeTooFarError"),
         # no patch: with sigma = 1e6 the draws fall outside the bracket
@@ -318,7 +374,7 @@ class TestTypedFailures:
         }[command]
         if patch is not None:
             patch(monkeypatch)
-        assert main(argv) != 0
+        assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
@@ -339,3 +395,14 @@ class TestTypedFailures:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+
+def test_import_leaves_scipy_stats_and_integrate_unloaded():
+    # they load on first use: the Q-Q normal margins, the GPD ML fit and the
+    # quadrature thinned CDF
+    code = ("import sys, claimtails; "
+            "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(ct.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -354,12 +354,8 @@ class TestPipeline:
 
     def test_bootstrap_replicates_are_reproduced(self):
         # recorded before the objective cached its rank terms and the steps
-        # their base values
-        s, plan = self.small_composite()
-        out = resampling.bootstrap_fit(
-            s, lambda r: ct.fit_pipeline(r, plan).theta, 3, 5, keep_replicates=True
-        )
-        assert out.replicates == [
+        # their base values, and before replicates ran in forked workers
+        recorded = [
             {"gamma": 0.5250016688827037, "sigma": 0.975014422051785,
              "p_upper": 0.5057052431358711, "beta_adj_u": 99.99844747789554,
              "sigma_adj_u": 20.33811309796393, "gamma_adj_l": -0.3913183569908142},
@@ -370,6 +366,19 @@ class TestPipeline:
              "p_upper": 0.6033003846834895, "beta_adj_u": 9.617229613099589,
              "sigma_adj_u": 12.738182810410153, "gamma_adj_l": -0.4866657957954753},
         ]
+        s, plan = self.small_composite()
+        for workers in (1, 2, 3):
+            out = resampling.bootstrap_fit(
+                s, lambda r: ct.fit_pipeline(r, plan).theta, 3, 5, keep_replicates=True,
+                workers=workers,
+            )
+            assert out.replicates == recorded, f"workers={workers}"
+
+    def test_swapped_thresholds_are_named(self):
+        s, _ = self.small_composite()
+        plan = ct.PipelinePlan(base_family=ct.Family.GPD, x_lower=5.0, x_upper=2.0)
+        with pytest.raises(ValueError, match=r"^x_lower \(5\.0\) must be below x_upper \(2\.0\)$"):
+            ct.fit_pipeline(s, plan)
 
     def test_rank_range_outside_thresholds_is_named(self):
         s = ct.sample(ct.gpd(0.5, 2.0), 600, seed=17)

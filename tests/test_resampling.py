@@ -1,7 +1,12 @@
+import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
 import claimtails as ct
+from claimtails import resampling
 from claimtails.estimation import MadConfig
 from claimtails.resampling import BootstrapFailedError
 
@@ -120,3 +125,99 @@ class TestBootstrapFit:
         d = ct.bootstrap_fit(s, lambda r: {"c": 1.0}, B=3, seed=0).as_dict()
         assert d["B"] == 3
         assert "replicates" not in d
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("no process pool expected")
+
+
+class TestWorkers:
+    """Forked workers share the replicates; results do not depend on how many."""
+
+    @pytest.mark.parametrize("B", [1, 5, 17])
+    def test_worker_count_invariance(self, B):
+        s = ct.sample(ct.exponential(1.0), 80, seed=11)
+        runs = {
+            workers: ct.bootstrap_fit(
+                s, lambda r: {"mu": float(np.mean(r.values)), "top": float(r.values[-1])},
+                B=B, seed=4, keep_replicates=True, workers=workers,
+            )
+            for workers in (1, 2, 3, B + 3)
+        }
+        serial = runs[1]
+        assert len(serial.replicates) == B
+        for workers, out in runs.items():
+            assert out.as_dict() == serial.as_dict(), workers
+            assert out.replicates == serial.replicates, workers
+
+    def test_failure_count_invariance(self):
+        s = ct.sample(ct.exponential(1.0), 60, seed=12)
+        mean = float(np.mean(s.values))
+
+        def fails_above_mean(r):
+            # chosen by the resample's values, not by call order
+            if np.mean(r.values) > mean:
+                raise RuntimeError("boom")
+            return {"mu": float(np.mean(r.values))}
+
+        runs = [
+            ct.bootstrap_fit(s, fails_above_mean, B=17, seed=2, keep_replicates=True,
+                             workers=workers)
+            for workers in (1, 2, 3, 20)
+        ]
+        assert 0 < runs[0].failed < 17
+        for out in runs[1:]:
+            assert out.failed == runs[0].failed
+            assert out.replicates == runs[0].replicates
+
+    def test_dead_worker_raises(self):
+        s = ct.sample(ct.exponential(1.0), 40, seed=0)
+        parent = os.getpid()
+
+        def dies_in_worker(r):
+            if os.getpid() != parent:
+                os._exit(3)
+            return {"c": 1.0}
+
+        with pytest.raises(RuntimeError) as info:
+            ct.bootstrap_fit(s, dies_in_worker, B=4, seed=0, workers=2)
+        assert isinstance(info.value, BrokenProcessPool)
+
+    def test_pool_size_is_capped_by_replicates(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(resampling, "ProcessPoolExecutor", RecordingPool)
+        s = ct.sample(ct.exponential(1.0), 40, seed=0)
+        ct.bootstrap_fit(s, lambda r: {"c": float(r.values[0])}, B=3, seed=0, workers=8)
+        assert sizes == [2]  # this process and two workers
+
+    @pytest.mark.parametrize("B,workers", [(10, 1), (1, 4)])
+    def test_one_worker_starts_no_process(self, B, workers, monkeypatch):
+        monkeypatch.setattr(resampling, "ProcessPoolExecutor", _no_pool)
+        s = ct.sample(ct.exponential(1.0), 40, seed=0)
+        out = ct.bootstrap_fit(s, lambda r: {"c": float(r.values[0])}, B=B, seed=0,
+                               workers=workers)
+        assert out.B == B
+
+    def test_serial_without_fork(self, monkeypatch):
+        s = ct.sample(ct.exponential(1.0), 40, seed=0)
+
+        def fit(r):
+            return {"c": float(r.values[0])}
+
+        forked = ct.bootstrap_fit(s, fit, B=6, seed=1, keep_replicates=True, workers=3)
+        monkeypatch.setattr(resampling, "ProcessPoolExecutor", _no_pool)
+        monkeypatch.setattr(resampling.multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        serial = ct.bootstrap_fit(s, fit, B=6, seed=1, keep_replicates=True, workers=3)
+        assert serial.replicates == forked.replicates
+
+    def test_invalid_workers(self):
+        s = ct.sample(ct.exponential(1.0), 10, seed=0)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            ct.bootstrap_fit(s, lambda r: {"c": 1.0}, B=2, seed=0, workers=0)
