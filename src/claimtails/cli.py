@@ -19,6 +19,7 @@ from . import claim_process, estimation, gof, resampling
 from .core_dist import Family, OrderedSample, edf_positions
 from .estimation import MadConfig, PipelinePlan, Weighting
 from .tail_model import (
+    AdjustedModel,
     adjusted_cdf,
     adjusted_survival,
     model_from_json,
@@ -180,13 +181,16 @@ def _cfg_float(cfg, key, default=None):
         raise InputError(f"{key} must be a number, got '{cfg[key]}'") from None
 
 
-def _cfg_int(cfg, key, default=None):
+def _cfg_int(cfg, key, default=None, minimum=None):
     if key not in cfg:
         return default
     try:
-        return int(cfg[key])
+        value = int(cfg[key])
     except ValueError:
         raise InputError(f"{key} must be an integer, got '{cfg[key]}'") from None
+    if minimum is not None and value < minimum:
+        raise InputError(f"{key} must be >= {minimum}, got {value}")
+    return value
 
 
 def _cfg_choice(cfg, key, choices, default):
@@ -195,6 +199,15 @@ def _cfg_choice(cfg, key, choices, default):
     if value not in choices:
         raise InputError(f"{key} must be one of {', '.join(sorted(choices))}, got '{value}'")
     return value
+
+
+def _read_model(cfg: dict, command: str) -> AdjustedModel:
+    if "model" not in cfg:
+        raise InputError(f"{command} needs --model with a fitted model JSON")
+    try:
+        return model_from_json(Path(cfg["model"]).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read model file {cfg['model']}: {exc}") from None
 
 
 def _mad_config(cfg: dict) -> MadConfig:
@@ -274,7 +287,7 @@ def cmd_tail_test(args: argparse.Namespace) -> int:
     k = _cfg_int(cfg, "test_k")
     if k is None:
         raise InputError("tail test needs --test-k")
-    reps = _cfg_int(cfg, "test_reps", 10_000)
+    reps = _cfg_int(cfg, "test_reps", 10_000, minimum=1)
     result = gof.pareto_tail_test(sample, k, reps=reps, seed=_cfg_int(cfg, "seed"))
     out = Path(cfg["out"])
     write_json(out / "tail_test.json", result.as_dict())
@@ -286,7 +299,7 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     sample = read_loss_csv(cfg["input"], cfg["column"])
     plan = _build_plan(cfg, sample)
-    B = _cfg_int(cfg, "boot_reps", 200)
+    B = _cfg_int(cfg, "boot_reps", 200, minimum=1)
     # one worker per CPU this process may run on; serial where the OS cannot say
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     summary = resampling.bootstrap_fit(
@@ -311,7 +324,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         sc = claim_process.InflationScenario(
             alpha=_cfg_float(cfg, "alpha", 1.0),
             inflation_factor=_cfg_float(cfg, "inflation_factor", 1.05),
-            years=_cfg_int(cfg, "years", 10),
+            years=_cfg_int(cfg, "years", 10, minimum=1),
             threshold=_cfg_float(cfg, "threshold", 0.01),
             base_rate=_cfg_float(cfg, "base_rate", 100.0),
         )
@@ -322,10 +335,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                           ((v,) for v in s.values.tolist()))
         print(f"wrote {sc.years} years of raw/inflated samples to {out}")
     elif mode == "mechanism":
-        if "model" not in cfg:
-            raise InputError("mechanism simulation needs --model")
-        model = model_from_json(Path(cfg["model"]).read_text())
-        n = _cfg_int(cfg, "n", 10_000)
+        model = _read_model(cfg, "mechanism simulation")
+        n = _cfg_int(cfg, "n", 10_000, minimum=1)
         s = claim_process.sample_mechanism(model, n, seed)
         write_csv(out / "mechanism_sample.csv", ["loss"],
                   ((v,) for v in s.values.tolist()))
@@ -333,7 +344,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     elif mode == "thinning":
         sigma = _cfg_float(cfg, "sigma", 1.0)
         sigma_t = _cfg_float(cfg, "sigma_t", 1.0)
-        n = _cfg_int(cfg, "n", 10_000)
+        n = _cfg_int(cfg, "n", 10_000, minimum=1)
         s = claim_process.sample_thinned(sigma, sigma_t, n, seed)
         write_csv(out / "thinned_sample.csv", ["loss"], ((v,) for v in s.values.tolist()))
         print(f"wrote {n} thinned draws to {out}")
@@ -345,9 +356,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_qq(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     sample = read_loss_csv(cfg["input"], cfg["column"])
-    if "model" not in cfg:
-        raise InputError("qq needs --model with a fitted model JSON")
-    model = model_from_json(Path(cfg["model"]).read_text())
+    model = _read_model(cfg, "qq")
     margins = cfg.get("margins", "original")
     coords = gof.qq_coordinates(sample, model, gof.Margins(margins))
     out = Path(cfg["out"])

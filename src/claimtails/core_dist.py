@@ -7,9 +7,9 @@ evaluation and inverse-transform sampling, plus rank-based plotting positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -26,13 +26,182 @@ class Family(str, Enum):
     STEPPED_PARETO = "stepped_pareto"
 
 
-# Free parameter names per family, in canonical order.
-PARAM_NAMES = {
-    Family.PARETO: ("alpha", "sigma"),
-    Family.GPD: ("gamma", "sigma", "loc"),
-    Family.EXPONENTIAL: ("sigma",),
-    Family.SHIFTED_WEIBULL: ("shift", "sigma", "beta"),
-    Family.STEPPED_PARETO: ("alpha1", "alpha2", "sigma1", "sigma2", "sigma3"),
+@dataclass(frozen=True)
+class Kernel:
+    """One family's formulas, as plain functions of its parameters in `names` order.
+
+    `survival(x, *p)`, `density(x, *p)`, `quantile(q, *p)` with q = 1 - probability,
+    the endpoints `left(*p)` and `right(*p)`, and `requires`: (predicate, requirement)
+    pairs.  `start(values, fixed)` seeds a minimum-AD fit (None: no fitting
+    support); `fixed` is what a fit holds constant unless told otherwise.
+    """
+
+    names: tuple
+    requires: tuple
+    left: Callable
+    survival: Callable
+    density: Callable
+    quantile: Callable
+    start: Optional[Callable] = None
+    right: Callable = lambda *p: np.inf
+    fixed: dict = field(default_factory=dict)
+
+
+def _pareto_start(v, fixed):
+    sigma = fixed.get("sigma", float(v[0]) * 0.999)
+    logs = np.log(np.maximum(v / sigma, 1.0 + 1e-12))
+    return {"alpha": 1.0 / max(float(np.mean(logs)), 1e-6), "sigma": sigma}
+
+
+def _gpd_survival(xv, gamma, sigma, loc):
+    z = np.maximum(xv - loc, 0.0)
+    if gamma == 0.0:
+        return np.exp(-z / sigma)
+    t = np.maximum(1.0 + gamma * z / sigma, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.power(t, -1.0 / gamma)
+
+
+def _gpd_density(xv, gamma, sigma, loc):
+    z = xv - loc
+    if gamma == 0.0:
+        return np.where(z < 0, 0.0, np.exp(-np.maximum(z, 0.0) / sigma) / sigma)
+    t = 1.0 + gamma * np.maximum(z, 0.0) / sigma
+    inside = (z >= 0) & (t > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(inside, np.power(np.maximum(t, 1e-300), -1.0 / gamma - 1.0) / sigma, 0.0)
+
+
+def _gpd_quantile(q, gamma, sigma, loc):
+    if gamma == 0.0:
+        return loc - sigma * np.log(q)
+    return loc + sigma * (np.power(q, -gamma) - 1.0) / gamma
+
+
+def _weibull_density(xv, shift, sigma, beta):
+    z = (xv - shift) / sigma
+    zc = np.maximum(z, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(
+            z < 0,
+            0.0,
+            beta / sigma * np.power(np.maximum(zc, 1e-300), beta - 1.0) * np.exp(-zc**beta),
+        )
+
+
+def _weibull_start(v, fixed):
+    shift = fixed.get("shift", 0.0)
+    return {"shift": shift, "sigma": max(float(np.mean(v - shift)), 1e-12), "beta": 1.0}
+
+
+def _stepped_levels(a1, a2, s1, s2, s3):
+    """Survival c2 = S(sigma2) and c3 = S(sigma3) at the two breaks."""
+    c2 = (s2 / s1) ** (-a1)
+    c3 = c2 * (s3 / s2) ** (-a2)
+    return c2, c3
+
+
+def _stepped_survival(xv, a1, a2, s1, s2, s3):
+    c2, c3 = _stepped_levels(a1, a2, s1, s2, s3)
+    xc = np.maximum(xv, s1)
+    s = np.where(
+        xv <= s2,
+        np.power(xc / s1, -a1),
+        np.where(xv <= s3, c2 * np.power(xc / s2, -a2), c3 * np.power(xc / s3, -a1)),
+    )
+    return np.where(xv < s1, 1.0, s)
+
+
+def _stepped_density(xv, a1, a2, s1, s2, s3):
+    c2, c3 = _stepped_levels(a1, a2, s1, s2, s3)
+    xc = np.maximum(xv, s1)
+    d = np.where(
+        xv <= s2,
+        a1 / s1 * np.power(xc / s1, -a1 - 1.0),
+        np.where(
+            xv <= s3,
+            c2 * a2 / s2 * np.power(xc / s2, -a2 - 1.0),
+            c3 * a1 / s3 * np.power(xc / s3, -a1 - 1.0),
+        ),
+    )
+    return np.where(xv < s1, 0.0, d)
+
+
+def _stepped_quantile(q, a1, a2, s1, s2, s3):
+    c2, c3 = _stepped_levels(a1, a2, s1, s2, s3)
+    return np.where(
+        q >= c2,
+        s1 * np.power(q, -1.0 / a1),
+        np.where(
+            q >= c3,
+            s2 * np.power(q / c2, -1.0 / a2),
+            s3 * np.power(q / c3, -1.0 / a1),
+        ),
+    )
+
+
+KERNELS = {
+    Family.PARETO: Kernel(
+        names=("alpha", "sigma"),
+        requires=((lambda alpha, sigma: alpha > 0 and sigma > 0, "Pareto needs alpha>0, sigma>0"),),
+        left=lambda alpha, sigma: sigma,
+        survival=lambda xv, alpha, sigma: np.where(
+            xv < sigma, 1.0, np.power(sigma / np.maximum(xv, sigma), alpha)
+        ),
+        density=lambda xv, alpha, sigma: np.where(
+            xv < sigma, 0.0, alpha * sigma**alpha * np.power(np.maximum(xv, sigma), -alpha - 1.0)
+        ),
+        quantile=lambda q, alpha, sigma: sigma * np.power(q, -1.0 / alpha),
+        start=_pareto_start,
+    ),
+    Family.GPD: Kernel(
+        names=("gamma", "sigma", "loc"),
+        requires=(
+            (lambda gamma, sigma, loc: sigma > 0, "GPD needs sigma>0"),
+            (lambda gamma, sigma, loc: loc >= 0, "GPD location must be >=0"),
+        ),
+        left=lambda gamma, sigma, loc: loc,
+        right=lambda gamma, sigma, loc: loc + sigma / (-gamma) if gamma < 0 else np.inf,
+        survival=_gpd_survival,
+        density=_gpd_density,
+        quantile=_gpd_quantile,
+        start=lambda v, fixed: {"gamma": 0.5, "sigma": max(float(np.median(v - fixed["loc"])), 1e-12)},
+        # the location is a known threshold, never a fitted quantity
+        fixed={"loc": 0.0},
+    ),
+    Family.EXPONENTIAL: Kernel(
+        names=("sigma",),
+        requires=((lambda sigma: sigma > 0, "exponential needs sigma>0"),),
+        left=lambda sigma: 0.0,
+        survival=lambda xv, sigma: np.exp(-np.maximum(xv, 0.0) / sigma),
+        density=lambda xv, sigma: np.where(xv < 0, 0.0, np.exp(-np.maximum(xv, 0.0) / sigma) / sigma),
+        quantile=lambda q, sigma: -sigma * np.log(q),
+        start=lambda v, fixed: {"sigma": float(np.mean(v))},
+    ),
+    Family.SHIFTED_WEIBULL: Kernel(
+        names=("shift", "sigma", "beta"),
+        requires=((lambda shift, sigma, beta: shift >= 0 and sigma > 0 and beta > 0,
+                   "shifted Weibull needs shift>=0, sigma>0, beta>0"),),
+        left=lambda shift, sigma, beta: shift,
+        survival=lambda xv, shift, sigma, beta: np.exp(
+            -np.power(np.maximum(xv - shift, 0.0) / sigma, beta)
+        ),
+        density=_weibull_density,
+        quantile=lambda q, shift, sigma, beta: shift + sigma * np.power(-np.log(q), 1.0 / beta),
+        start=_weibull_start,
+    ),
+    Family.STEPPED_PARETO: Kernel(
+        names=("alpha1", "alpha2", "sigma1", "sigma2", "sigma3"),
+        requires=(
+            (lambda a1, a2, s1, s2, s3: a1 > 0 and a2 > 0, "stepped Pareto needs alpha1,alpha2>0"),
+            (lambda a1, a2, s1, s2, s3: 0 < s1 < s2 < s3,
+             "stepped Pareto needs 0<sigma1<sigma2<sigma3"),
+        ),
+        left=lambda a1, a2, s1, s2, s3: s1,
+        survival=_stepped_survival,
+        density=_stepped_density,  # three scaled Pareto density segments
+        quantile=_stepped_quantile,  # inverted branch by branch
+    ),
 }
 
 
@@ -49,66 +218,28 @@ class DistributionSpec:
 
     def __post_init__(self):
         p = self.params
-        fam = self.family
-        n_expected = len(PARAM_NAMES[fam])
-        if len(p) != n_expected:
+        kernel = KERNELS[self.family]
+        if len(p) != len(kernel.names):
             raise ParameterError(
-                f"{fam.value} needs {n_expected} parameters, got {len(p)}"
+                f"{self.family.value} needs {len(kernel.names)} parameters, got {len(p)}"
             )
         if not all(np.isfinite(p)):
             raise ParameterError(f"non-finite parameter in {p}")
-        if fam == Family.PARETO:
-            alpha, sigma = p
-            if alpha <= 0 or sigma <= 0:
-                raise ParameterError(f"Pareto needs alpha>0, sigma>0, got {p}")
-        elif fam == Family.GPD:
-            gamma, sigma, loc = p
-            if sigma <= 0:
-                raise ParameterError(f"GPD needs sigma>0, got {p}")
-            if loc < 0:
-                raise ParameterError(f"GPD location must be >=0, got {p}")
-        elif fam == Family.EXPONENTIAL:
-            if p[0] <= 0:
-                raise ParameterError(f"exponential needs sigma>0, got {p}")
-        elif fam == Family.SHIFTED_WEIBULL:
-            shift, sigma, beta = p
-            if shift < 0 or sigma <= 0 or beta <= 0:
-                raise ParameterError(
-                    f"shifted Weibull needs shift>=0, sigma>0, beta>0, got {p}"
-                )
-        elif fam == Family.STEPPED_PARETO:
-            a1, a2, s1, s2, s3 = p
-            if a1 <= 0 or a2 <= 0:
-                raise ParameterError(f"stepped Pareto needs alpha1,alpha2>0, got {p}")
-            if not (0 < s1 < s2 < s3):
-                raise ParameterError(
-                    f"stepped Pareto needs 0<sigma1<sigma2<sigma3, got {p}"
-                )
+        for holds, requirement in kernel.requires:
+            if not holds(*p):
+                raise ParameterError(f"{requirement}, got {p}")
 
     def as_dict(self) -> dict:
-        return dict(zip(PARAM_NAMES[self.family], self.params))
+        return dict(zip(KERNELS[self.family].names, self.params))
 
     @property
     def left_endpoint(self) -> float:
-        fam, p = self.family, self.params
-        if fam == Family.PARETO:
-            return p[1]
-        if fam == Family.GPD:
-            return p[2]
-        if fam == Family.EXPONENTIAL:
-            return 0.0
-        if fam == Family.SHIFTED_WEIBULL:
-            return p[0]
-        return p[2]  # stepped Pareto: sigma1
+        return KERNELS[self.family].left(*self.params)
 
     @property
     def right_endpoint(self) -> float:
         """Right endpoint of the support; +inf when unbounded."""
-        if self.family == Family.GPD:
-            gamma, sigma, loc = self.params
-            if gamma < 0:
-                return loc + sigma / (-gamma)
-        return np.inf
+        return KERNELS[self.family].right(*self.params)
 
 
 def pareto(alpha: float, sigma: float) -> DistributionSpec:
@@ -140,10 +271,10 @@ def stepped_pareto(
 
 def spec_from_dict(family: Family | str, params: dict) -> DistributionSpec:
     fam = Family(family)
-    missing = [name for name in PARAM_NAMES[fam] if name not in params]
+    missing = [name for name in KERNELS[fam].names if name not in params]
     if missing:
         raise ParameterError(f"{fam.value} is missing parameters: {', '.join(missing)}")
-    return DistributionSpec(fam, tuple(float(params[name]) for name in PARAM_NAMES[fam]))
+    return DistributionSpec(fam, tuple(float(params[name]) for name in KERNELS[fam].names))
 
 
 @dataclass(frozen=True)
@@ -178,37 +309,7 @@ class OrderedSample:
 def survival(spec: DistributionSpec, x) -> Union[float, np.ndarray]:
     """Survival function 1 - F(x); 1 below the left endpoint, 0 above a
     finite right endpoint."""
-    xv = np.asarray(x, dtype=float)
-    fam, p = spec.family, spec.params
-    if fam == Family.PARETO:
-        alpha, sigma = p
-        s = np.where(xv < sigma, 1.0, np.power(sigma / np.maximum(xv, sigma), alpha))
-    elif fam == Family.GPD:
-        gamma, sigma, loc = p
-        z = np.maximum(xv - loc, 0.0)
-        if gamma == 0.0:
-            s = np.exp(-z / sigma)
-        else:
-            t = np.maximum(1.0 + gamma * z / sigma, 0.0)
-            with np.errstate(divide="ignore"):
-                s = np.power(t, -1.0 / gamma)
-    elif fam == Family.EXPONENTIAL:
-        s = np.exp(-np.maximum(xv, 0.0) / p[0])
-    elif fam == Family.SHIFTED_WEIBULL:
-        shift, sigma, beta = p
-        z = np.maximum(xv - shift, 0.0)
-        s = np.exp(-np.power(z / sigma, beta))
-    else:  # stepped Pareto
-        a1, a2, s1, s2, s3 = p
-        c2 = (s2 / s1) ** (-a1)
-        c3 = c2 * (s3 / s2) ** (-a2)
-        xc = np.maximum(xv, s1)
-        s = np.where(
-            xv <= s2,
-            np.power(xc / s1, -a1),
-            np.where(xv <= s3, c2 * np.power(xc / s2, -a2), c3 * np.power(xc / s3, -a1)),
-        )
-        s = np.where(xv < s1, 1.0, s)
+    s = KERNELS[spec.family].survival(np.asarray(x, dtype=float), *spec.params)
     return s if np.ndim(x) else float(s)
 
 
@@ -218,50 +319,7 @@ def cdf(spec: DistributionSpec, x) -> Union[float, np.ndarray]:
 
 def density(spec: DistributionSpec, x) -> Union[float, np.ndarray]:
     """Probability density; 0 outside the support."""
-    xv = np.asarray(x, dtype=float)
-    fam, p = spec.family, spec.params
-    if fam == Family.PARETO:
-        alpha, sigma = p
-        d = np.where(
-            xv < sigma, 0.0, alpha * sigma**alpha * np.power(np.maximum(xv, sigma), -alpha - 1.0)
-        )
-    elif fam == Family.GPD:
-        gamma, sigma, loc = p
-        z = xv - loc
-        if gamma == 0.0:
-            d = np.where(z < 0, 0.0, np.exp(-np.maximum(z, 0.0) / sigma) / sigma)
-        else:
-            t = 1.0 + gamma * np.maximum(z, 0.0) / sigma
-            inside = (z >= 0) & (t > 0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                d = np.where(inside, np.power(np.maximum(t, 1e-300), -1.0 / gamma - 1.0) / sigma, 0.0)
-    elif fam == Family.EXPONENTIAL:
-        d = np.where(xv < 0, 0.0, np.exp(-np.maximum(xv, 0.0) / p[0]) / p[0])
-    elif fam == Family.SHIFTED_WEIBULL:
-        shift, sigma, beta = p
-        z = (xv - shift) / sigma
-        zc = np.maximum(z, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = np.where(
-                z < 0,
-                0.0,
-                beta / sigma * np.power(np.maximum(zc, 1e-300), beta - 1.0) * np.exp(-zc**beta),
-            )
-    else:  # stepped Pareto: three scaled Pareto density segments
-        a1, a2, s1, s2, s3 = p
-        c2 = (s2 / s1) ** (-a1)
-        c3 = c2 * (s3 / s2) ** (-a2)
-        xc = np.maximum(xv, s1)
-        d = np.where(
-            xv <= s2,
-            a1 / s1 * np.power(xc / s1, -a1 - 1.0),
-            np.where(
-                xv <= s3,
-                c2 * a2 / s2 * np.power(xc / s2, -a2 - 1.0),
-                c3 * a1 / s3 * np.power(xc / s3, -a1 - 1.0),
-            ),
-        )
-        d = np.where(xv < s1, 0.0, d)
+    d = KERNELS[spec.family].density(np.asarray(x, dtype=float), *spec.params)
     return d if np.ndim(x) else float(d)
 
 
@@ -270,35 +328,7 @@ def quantile(spec: DistributionSpec, p) -> Union[float, np.ndarray]:
     pv = np.asarray(p, dtype=float)
     if np.any(pv <= 0) or np.any(pv >= 1):
         raise ValueError("quantile probability must lie strictly in (0,1)")
-    fam, par = spec.family, spec.params
-    q = 1.0 - pv  # target survival
-    if fam == Family.PARETO:
-        alpha, sigma = par
-        x = sigma * np.power(q, -1.0 / alpha)
-    elif fam == Family.GPD:
-        gamma, sigma, loc = par
-        if gamma == 0.0:
-            x = loc - sigma * np.log(q)
-        else:
-            x = loc + sigma * (np.power(q, -gamma) - 1.0) / gamma
-    elif fam == Family.EXPONENTIAL:
-        x = -par[0] * np.log(q)
-    elif fam == Family.SHIFTED_WEIBULL:
-        shift, sigma, beta = par
-        x = shift + sigma * np.power(-np.log(q), 1.0 / beta)
-    else:  # stepped Pareto: invert branch by branch
-        a1, a2, s1, s2, s3 = par
-        c2 = (s2 / s1) ** (-a1)
-        c3 = c2 * (s3 / s2) ** (-a2)
-        x = np.where(
-            q >= c2,
-            s1 * np.power(q, -1.0 / a1),
-            np.where(
-                q >= c3,
-                s2 * np.power(q / c2, -1.0 / a2),
-                s3 * np.power(q / c3, -1.0 / a1),
-            ),
-        )
+    x = KERNELS[spec.family].quantile(1.0 - pv, *spec.params)
     return x if np.ndim(p) else float(x)
 
 

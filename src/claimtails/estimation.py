@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .core_dist import (
-    PARAM_NAMES,
+    KERNELS,
     DistributionSpec,
     Family,
     OrderedSample,
@@ -269,32 +269,6 @@ def _fit_generic(
     return FitResult(theta, direction * best_f, converged, evals, config)
 
 
-def _default_start(
-    sample: OrderedSample, family: Family, fixed: dict, free: Sequence[str]
-) -> dict:
-    v = sample.values
-    start = {}
-    if family == Family.GPD:
-        loc = fixed.get("loc", 0.0)
-        start["gamma"] = 0.5
-        start["sigma"] = max(float(np.median(v - loc)), 1e-12)
-    elif family == Family.PARETO:
-        sigma = fixed.get("sigma", float(v[0]) * 0.999)
-        logs = np.log(np.maximum(v / sigma, 1.0 + 1e-12))
-        start["alpha"] = 1.0 / max(float(np.mean(logs)), 1e-6)
-        start["sigma"] = sigma
-    elif family == Family.EXPONENTIAL:
-        start["sigma"] = float(np.mean(v))
-    elif family == Family.SHIFTED_WEIBULL:
-        shift = fixed.get("shift", 0.0)
-        start["shift"] = shift
-        start["sigma"] = max(float(np.mean(v - shift)), 1e-12)
-        start["beta"] = 1.0
-    else:
-        raise ValueError(f"no MAD fitting support for family {family}")
-    return {nm: start[nm] for nm in free}
-
-
 def fit_mad(
     sample: OrderedSample,
     family: Family,
@@ -303,11 +277,9 @@ def fit_mad(
 ) -> FitResult:
     """Fit a single family by minimum-AD distance over the configured
     rank range; parameters in `fixed` are held constant."""
-    fixed = dict(fixed or {})
-    if family == Family.GPD:
-        # the location is a known threshold, never a fitted quantity
-        fixed.setdefault("loc", 0.0)
-    free = [nm for nm in PARAM_NAMES[family] if nm not in fixed]
+    kernel = KERNELS[family]
+    fixed = {**kernel.fixed, **(fixed or {})}
+    free = [nm for nm in kernel.names if nm not in fixed]
     if not free:
         raise ValueError("no free parameters to fit")
     i_lo, i_hi = config.resolve_ranks(sample.n)
@@ -317,8 +289,10 @@ def fit_mad(
     def builder(theta: dict) -> DistributionSpec:
         return spec_from_dict(family, {**fixed, **theta})
 
-    x0 = _default_start(sample, family, fixed, free)
-    return _fit_generic(sample, builder, free, x0, config)
+    if kernel.start is None:
+        raise ValueError(f"no MAD fitting support for family {family}")
+    start = kernel.start(sample.values, fixed)
+    return _fit_generic(sample, builder, free, {nm: start[nm] for nm in free}, config)
 
 
 def fit_gpd_ml(sample: OrderedSample, loc: float = 0.0) -> dict:
@@ -432,9 +406,7 @@ def fit_pipeline(sample: OrderedSample, plan: PipelinePlan) -> PipelineResult:
             )
         rlo, rhi = lo, hi
     cfg1 = replace(cfg1, rank_range=(rlo, rhi))
-    base_fixed = dict(plan.base_fixed)
-    if plan.base_family == Family.GPD:
-        base_fixed.setdefault("loc", 0.0)
+    base_fixed = {**KERNELS[plan.base_family].fixed, **plan.base_fixed}
     base_fit = fit_mad(sample, plan.base_family, base_fixed, cfg1)
     base = spec_from_dict(plan.base_family, {**base_fixed, **base_fit.theta})
 

@@ -5,7 +5,7 @@ Pareto tail and Q-Q coordinate generation in three margin systems.
 from __future__ import annotations
 
 import warnings as _warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Union
 
@@ -26,15 +26,7 @@ class TailTestResult:
     seed: int
 
     def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "m": self.m,
-            "alpha_hat": self.alpha_hat,
-            "sigma": self.sigma,
-            "p_value": self.p_value,
-            "reps": self.reps,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def run_lengths(edf_vals, model_vals) -> dict:

@@ -18,6 +18,7 @@ import numpy as np
 from .core_dist import (
     DistributionSpec,
     cdf,
+    gpd,
     invert_cdf,
     quantile,
     spec_from_dict,
@@ -77,17 +78,11 @@ class AdjustedModel:
                 raise ModelInvalidError("x_lower must be below x_upper")
 
 
-def unadjusted(base: DistributionSpec) -> AdjustedModel:
-    return AdjustedModel(base)
-
-
 def lower_gpd_adjuster(gamma_adj: float, x_lower: float) -> DistributionSpec:
     """GPD lower adjuster with negative shape whose right endpoint is pinned
     at x_lower, so its CDF is exactly 1 on [x_lower, inf)."""
     if gamma_adj >= 0:
         raise ModelInvalidError("lower GPD adjuster needs gamma < 0")
-    from .core_dist import gpd
-
     return gpd(gamma_adj, -gamma_adj * x_lower, loc=0.0)
 
 

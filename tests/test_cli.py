@@ -397,6 +397,41 @@ class TestTypedFailures:
         assert err.startswith("error: ") and message in err
 
 
+class TestInputNaming:
+    """Bad counts and unreadable model files are named in the error line."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["simulate", "--mode", "thinning", "-n", "0"], "n must be >= 1, got 0"),
+        (["simulate", "--mode", "thinning", "-n", "-3"], "n must be >= 1, got -3"),
+        (["bootstrap", "--input", "LOSSES", "--boot-reps", "0"], "boot_reps must be >= 1, got 0"),
+        (["simulate", "--mode", "inflation", "--years", "0"], "years must be >= 1, got 0"),
+        (["tail-test", "--input", "LOSSES", "--test-k", "50", "--test-reps", "0"],
+         "test_reps must be >= 1, got 0"),
+    ])
+    def test_count_below_minimum(self, argv, message, tmp_path, loss_csv, capsys):
+        argv = [str(loss_csv) if a == "LOSSES" else a for a in argv]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["qq", "mechanism"])
+    @pytest.mark.parametrize("text,reason", [
+        pytest.param("not json", "Expecting value: line 1 column 1 (char 0)", id="not-json"),
+        pytest.param(None, "[Errno 2] No such file or directory: '{path}'", id="missing"),
+    ])
+    def test_unreadable_model_file(self, command, text, reason, tmp_path, loss_csv, capsys):
+        mpath = tmp_path / "model.json"
+        if text is not None:
+            mpath.write_text(text)
+        argv = {
+            "qq": ["qq", "--input", str(loss_csv)],
+            "mechanism": ["simulate", "--mode", "mechanism"],
+        }[command]
+        assert main([*argv, "--model", str(mpath), "--out", str(tmp_path / "o")]) == 1
+        reason = reason.format(path=mpath)
+        assert capsys.readouterr().err == f"error: cannot read model file {mpath}: {reason}\n"
+
+
 def test_import_leaves_scipy_stats_and_integrate_unloaded():
     # they load on first use: the Q-Q normal margins, the GPD ML fit and the
     # quadrature thinned CDF

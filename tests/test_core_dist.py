@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from scipy.integrate import quad
 from scipy.stats import kstest
 
 import claimtails as ct
-from claimtails.core_dist import ParameterError
+from claimtails.core_dist import DistributionSpec, ParameterError
 
 STEPPED = ct.stepped_pareto(1.0, 1.42, 1.0, 11.0, 52.0)
 
@@ -231,11 +233,37 @@ class TestParameterDomain:
             lambda: ct.shifted_weibull(-1.0, 1.0, 1.0),
             lambda: ct.shifted_weibull(1.0, 1.0, 0.0),
             lambda: ct.stepped_pareto(1.0, 1.0, 2.0, 1.0, 3.0),
+            lambda: ct.gpd(0.5, 1.0, loc=-1.0),
+            lambda: ct.stepped_pareto(0.0, 1.0, 1.0, 2.0, 3.0),
+            lambda: ct.shifted_weibull(0.0, np.inf, 1.0),
+            lambda: DistributionSpec(ct.Family.PARETO, (1.0,)),
         ],
     )
     def test_invalid_parameters_raise(self, build):
         with pytest.raises(ParameterError):
             build()
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: ct.pareto(0.0, 1.0), "Pareto needs alpha>0, sigma>0, got (0.0, 1.0)"),
+        (lambda: ct.gpd(0.5, 0.0), "GPD needs sigma>0, got (0.5, 0.0, 0.0)"),
+        (lambda: ct.gpd(0.5, 0.0, loc=-1.0), "GPD needs sigma>0, got (0.5, 0.0, -1.0)"),
+        (lambda: ct.gpd(0.5, 1.0, loc=-1.0), "GPD location must be >=0, got (0.5, 1.0, -1.0)"),
+        (lambda: ct.exponential(-2.0), "exponential needs sigma>0, got (-2.0,)"),
+        (lambda: ct.shifted_weibull(1.0, 1.0, 0.0),
+         "shifted Weibull needs shift>=0, sigma>0, beta>0, got (1.0, 1.0, 0.0)"),
+        (lambda: ct.stepped_pareto(0.0, 1.0, 2.0, 1.0, 3.0),
+         "stepped Pareto needs alpha1,alpha2>0, got (0.0, 1.0, 2.0, 1.0, 3.0)"),
+        (lambda: ct.stepped_pareto(1.0, 1.0, 2.0, 1.0, 3.0),
+         "stepped Pareto needs 0<sigma1<sigma2<sigma3, got (1.0, 1.0, 2.0, 1.0, 3.0)"),
+        (lambda: ct.shifted_weibull(0.0, np.inf, 1.0), "non-finite parameter in (0.0, inf, 1.0)"),
+        (lambda: DistributionSpec(ct.Family.PARETO, (1.0,)), "pareto needs 2 parameters, got 1"),
+    ])
+    def test_messages_name_the_requirement(self, build, message):
+        # recorded before the domain checks moved into the kernel table; the
+        # first violated requirement, in the family's order, is reported
+        with pytest.raises(ParameterError) as info:
+            build()
+        assert str(info.value) == message
 
     def test_gpd_negative_shape_endpoint(self):
         spec = ct.gpd(-0.5, 2.0, loc=1.0)
@@ -249,3 +277,70 @@ class TestParameterDomain:
             ct.OrderedSample.from_values([1.0, -2.0])
         s = ct.OrderedSample.from_values([3.0, 1.0, 1.0], label="ties ok")
         assert s.n == 3 and s.values[0] == 1.0
+
+
+# Kernel outputs recorded before the per-family formulas moved into one
+# table: the first 16 hex digits of the SHA-256 of the float64 values of
+# survival, cdf and density on GOLDEN_X, quantile on GOLDEN_P, and scalar
+# calls of all four; then the left and right endpoints.
+GOLDEN_X = np.concatenate(([0.0, 1.0, 3.0, 5.0, 11.0, 52.0, 600.0], np.geomspace(1e-3, 1e6, 91)))
+GOLDEN_P = np.array([1e-12, 1e-6, 1e-3, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 1 - 1 / 11, 0.99, 0.999,
+                     1 - 1e-6, 1 - 1e-12])
+GOLDEN_EXTRA = [ct.gpd(0.3, 2.0, loc=1.5), ct.gpd(-0.5, 2.0, loc=1.0),
+                ct.shifted_weibull(20.0, 30.0, 0.5)]
+GOLDEN = {
+    ("pareto", (1.0, 1.0)): ("0c828f49eac22e86", "b41d63cb4cc7a2a1", "b4827669cb3e6d65",
+                             "d8b3b90dc4c9459e", "25194bc7cdafb7ba", 1.0, np.inf),
+    ("pareto", (2.5, 3.0)): ("e0537e0bf9da9057", "21ef089da85c7625", "9a1607ce770cc6af",
+                             "e24c3075421c6286", "1c2f496b2f6e48fa", 3.0, np.inf),
+    ("gpd", (0.65, 600.0, 0.0)): ("8a8c5f1b28442962", "b7fc8524170ac1a5", "f99e16c4d045ca4c",
+                                  "e1bfefca34c64068", "253c7637e11c298c", 0.0, np.inf),
+    ("gpd", (0.0, 1.0, 0.0)): ("654d420abb102a68", "023804b29666716b", "654d420abb102a68",
+                               "83588e7cbd17f963", "61579135d4945745", 0.0, np.inf),
+    ("gpd", (-0.4, 2.0, 0.0)): ("72b5dbbfde634467", "cd051dcae9e9ef10", "76fedc32dec0d9d8",
+                                "f24e397bd85e4069", "78474264c82c557d", 0.0, 5.0),
+    ("exponential", (1.0,)): ("654d420abb102a68", "023804b29666716b", "654d420abb102a68",
+                              "83588e7cbd17f963", "61579135d4945745", 0.0, np.inf),
+    ("shifted_weibull", (3.0, 25.0, 2.0)): ("c2d9e89ad3f2cd15", "2cb966eca9616625",
+                                            "8803289a72e5a007", "081821f8ec4b1f33",
+                                            "450ba3c8132b2e01", 3.0, np.inf),
+    ("stepped_pareto", (1.0, 1.42, 1.0, 11.0, 52.0)): ("8f6bc6ec31565cef", "c329fe55d8de89a9",
+                                                       "8a85b4bdfe662f63", "7215512adb348ae6",
+                                                       "9d11ba6452240c9f", 1.0, np.inf),
+    ("gpd", (0.3, 2.0, 1.5)): ("2afcc2524bdfa7b7", "4a650d6c9f5ccd3a", "e57f0080c5a7f75e",
+                               "d22b04d15bd7c63c", "db0b2db46206de2f", 1.5, np.inf),
+    ("gpd", (-0.5, 2.0, 1.0)): ("d30f03262a768642", "f03190fda2ce7249", "2c36db54cb95d366",
+                                "29f96f857e9ff470", "43bc04dc9604ad75", 1.0, 5.0),
+    ("shifted_weibull", (20.0, 30.0, 0.5)): ("b480c166b4c3fcac", "d182f252fe18eb0a",
+                                             "dba13517d9c49880", "ca0ec82bd0ebbf82",
+                                             "6cb4382b27bf862f", 20.0, np.inf),
+}
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest()[:16]
+
+
+class TestKernelTable:
+    @pytest.mark.parametrize("spec", ALL_SPECS + GOLDEN_EXTRA,
+                             ids=lambda s: f"{s.family.value}{s.params}")
+    def test_outputs_match_recorded_bits(self, spec):
+        scalars = [f(spec, v) for f in (ct.survival, ct.cdf, ct.density) for v in GOLDEN_X[::7]]
+        scalars += [ct.quantile(spec, v) for v in GOLDEN_P[::3]]
+        got = (
+            _digest(ct.survival(spec, GOLDEN_X)),
+            _digest(ct.cdf(spec, GOLDEN_X)),
+            _digest(ct.density(spec, GOLDEN_X)),
+            _digest(ct.quantile(spec, GOLDEN_P)),
+            _digest(scalars),
+            spec.left_endpoint,
+            spec.right_endpoint,
+        )
+        assert got == GOLDEN[(spec.family.value, spec.params)]
+
+    def test_every_family_has_an_entry(self):
+        from claimtails.core_dist import KERNELS
+
+        assert set(KERNELS) == set(ct.Family)
+        for family, kernel in KERNELS.items():
+            assert len(kernel.names) == len(set(kernel.names)) > 0, family

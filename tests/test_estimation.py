@@ -184,6 +184,11 @@ class TestFitMad:
         with pytest.raises(ValueError):
             ct.fit_mad(s, ct.Family.EXPONENTIAL, fixed={"sigma": 1.0})
 
+    def test_stepped_pareto_has_no_fitting_support(self):
+        s = ct.sample(ct.stepped_pareto(1.0, 1.42, 1.0, 11.0, 52.0), 200, seed=0)
+        with pytest.raises(ValueError, match="^no MAD fitting support for family"):
+            ct.fit_mad(s, ct.Family.STEPPED_PARETO)
+
     def test_as_dict(self):
         s = ct.sample(ct.exponential(1.0), 200, seed=0)
         d = ct.fit_mad(s, ct.Family.EXPONENTIAL).as_dict()
