@@ -11,6 +11,7 @@ import os
 import sys
 import tempfile
 from dataclasses import replace
+from itertools import cycle
 from pathlib import Path
 
 import numpy as np
@@ -67,10 +68,19 @@ def write_json(path: Path, obj) -> None:
 
 
 def write_csv(path: Path, header: list, rows) -> None:
-    lines = [",".join(header)]
+    """Rows as wide as the header; floats (numpy's too) in 17 significant
+    digits, any other cell as `str`.  One %-format writes every cell."""
+    cells = []
     for row in rows:
-        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+        if len(row) != len(header):
+            raise ValueError(f"every row of {path.name} must have {len(header)} cells")
+        cells.extend(row)
+    ends = [","] * (len(header) - 1) + ["\n"]
+    # one template piece per (cell type, separator), shared by all its cells
+    piece = {(t, end): ("%.17g" if issubclass(t, float) else "%s") + end
+             for t in set(map(type, cells)) for end in ends}
+    template = "".join(map(piece.__getitem__, zip(map(type, cells), cycle(ends))))
+    _atomic_write(path, ("%s\n" + template) % (",".join(header), *cells))
 
 
 def read_loss_csv(path: str, column: str = "loss") -> OrderedSample:
@@ -246,11 +256,17 @@ def _build_plan(cfg: dict, sample: OrderedSample) -> PipelinePlan:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _cpu_count() -> int:
+    """CPUs this process may run on; 1 where the OS cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def cmd_fit(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     sample = read_loss_csv(cfg["input"], cfg["column"])
     plan = _build_plan(cfg, sample)
-    result = estimation.fit_pipeline(sample, plan)
+    # each step's restarts on every CPU
+    result = estimation.fit_pipeline(sample, plan, workers=_cpu_count())
     out = Path(cfg["out"])
     report = {
         "model": model_to_dict(result.model),
@@ -300,11 +316,10 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
     sample = read_loss_csv(cfg["input"], cfg["column"])
     plan = _build_plan(cfg, sample)
     B = _cfg_int(cfg, "boot_reps", 200, minimum=1)
-    # one worker per CPU this process may run on; serial where the OS cannot say
-    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    # replicates on every CPU; each replicate's fit stays serial, so pools never nest
     summary = resampling.bootstrap_fit(
-        sample, lambda resample: estimation.fit_pipeline(resample, plan).theta,
-        B, _cfg_int(cfg, "seed"), keep_replicates=True, workers=workers,
+        sample, lambda resample: estimation.fit_pipeline(resample, plan, workers=1).theta,
+        B, _cfg_int(cfg, "seed"), keep_replicates=True, workers=_cpu_count(),
     )
     out = Path(cfg["out"])
     write_json(out / "bootstrap.json", summary.as_dict())

@@ -23,6 +23,7 @@ from .core_dist import (
     spec_from_dict,
     survival,
 )
+from .parallel import fork_map
 from .tail_model import (
     AdjustedModel,
     LowerAdjustment,
@@ -89,22 +90,24 @@ class FitResult:
         }
 
 
-def _cdf_values(sample: OrderedSample, model) -> np.ndarray:
+def _cdf_values(values: np.ndarray, model, first_rank: int = 1) -> np.ndarray:
+    """Model CDF at `values`, the order statistics of ranks first_rank, ...;
+    raises LogDomainError with the rank of the first value where it is 0 or 1."""
     if isinstance(model, DistributionSpec):
-        f = np.asarray(cdf(model, sample.values))
+        f = np.asarray(cdf(model, values))
     elif isinstance(model, AdjustedModel):
-        f = np.asarray(adjusted_cdf(model, sample.values))
+        f = np.asarray(adjusted_cdf(model, values))
     else:
-        f = np.asarray(model(sample.values))
+        f = np.asarray(model(values))
     bad = np.nonzero((f <= 0.0) | (f >= 1.0))[0]
     if bad.size:
-        raise LogDomainError(int(bad[0]) + 1)
+        raise LogDomainError(int(bad[0]) + first_rank)
     return f
 
 
 def ad_statistic(sample: OrderedSample, model) -> float:
     """Anderson-Darling statistic with the standard 1/n normalization."""
-    f = _cdf_values(sample, model)
+    f = _cdf_values(sample.values, model)
     n = sample.n
     i = np.arange(1, n + 1)
     s = np.sum((2 * i - 1) * np.log(f) + (2 * (n - i) + 1) * np.log1p(-f))
@@ -146,11 +149,12 @@ def mad_objective(sample: OrderedSample, model, config: MadConfig) -> float:
     Unweighted mode is the Bernoulli mixed likelihood (to be maximized);
     the weighted modes normalize each summand at the order-statistic
     expectation F(x_i) = i/(n+1) and are minimized, with value = rank count
-    at a perfect EDF match.
+    at a perfect EDF match.  The model is evaluated on the in-range order
+    statistics only, so a callable model receives exactly those.
     """
     n = sample.n
     i_lo, i_hi = config.resolve_ranks(n)
-    f = _cdf_values(sample, model)[i_lo - 1 : i_hi]
+    f = _cdf_values(sample.values[i_lo - 1 : i_hi], model, i_lo)
     a, b, w = _rank_terms(n, i_lo, i_hi, config.weighting)
     s = a * np.log(f) + b * np.log1p(-f)
     if w is None:
@@ -188,9 +192,10 @@ _PENALTY = 1e12
 
 
 def _minimize_restarts(
-    fn: Callable, x0: np.ndarray, bounds_t, config: MadConfig
+    fn: Callable, x0: np.ndarray, bounds_t, config: MadConfig, workers: int = 1
 ) -> tuple:
-    """Nelder-Mead with deterministic perturbed restarts in transformed space.
+    """Nelder-Mead with deterministic perturbed restarts in transformed space,
+    shared by up to `workers` processes (see `fork_map`).
 
     Returns (best_x, best_f, converged, total_evals).
     """
@@ -198,10 +203,9 @@ def _minimize_restarts(
     offsets = [np.zeros_like(x0)] + [
         0.35 * rng.standard_normal(x0.size) for _ in range(config.restarts - 1)
     ]
-    results = []
-    evals = 0
-    for delta in offsets:
-        start = x0 + delta
+
+    def restart(j: int) -> tuple:
+        start = x0 + offsets[j]
         if bounds_t is not None:
             start = np.clip(start, [b[0] for b in bounds_t], [b[1] for b in bounds_t])
         res = minimize(
@@ -216,9 +220,11 @@ def _minimize_restarts(
                 "adaptive": True,
             },
         )
-        evals += res.nfev
-        if np.isfinite(res.fun) and res.fun < _PENALTY / 2:
-            results.append((res.fun, res.x))
+        return res.fun, res.x, res.nfev
+
+    runs = fork_map(restart, len(offsets), workers)
+    evals = sum(nfev for _, _, nfev in runs)
+    results = [(f, x) for f, x, _ in runs if np.isfinite(f) and f < _PENALTY / 2]
     if not results:
         raise FitFailedError("every optimizer restart ended in the penalty region")
     results.sort(key=lambda t: t[0])
@@ -238,6 +244,7 @@ def _fit_generic(
     free_names: Sequence[str],
     x0_natural: dict,
     config: MadConfig,
+    workers: int = 1,
 ) -> FitResult:
     fwd = {nm: _transform(nm)[0] for nm in free_names}
     inv = {nm: _transform(nm)[1] for nm in free_names}
@@ -264,7 +271,9 @@ def _fit_generic(
                 bounds_t.append((fwd[nm](lo), fwd[nm](hi)))
             else:
                 bounds_t.append((-np.inf, np.inf))
-    best_x, best_f, converged, evals = _minimize_restarts(objective, x0, bounds_t, config)
+    best_x, best_f, converged, evals = _minimize_restarts(
+        objective, x0, bounds_t, config, workers
+    )
     theta = to_theta(best_x)
     return FitResult(theta, direction * best_f, converged, evals, config)
 
@@ -274,9 +283,16 @@ def fit_mad(
     family: Family,
     fixed: Optional[dict] = None,
     config: MadConfig = MadConfig(),
+    workers: int = 1,
 ) -> FitResult:
     """Fit a single family by minimum-AD distance over the configured
-    rank range; parameters in `fixed` are held constant."""
+    rank range; parameters in `fixed` are held constant.
+
+    Up to `workers` processes share the optimizer restarts; the result does
+    not depend on how many.  Fixed parameters outside the family's domain
+    raise `ParameterError`, and a left endpoint at or above the smallest
+    fitted observation raises `ValueError`, before any restart runs.
+    """
     kernel = KERNELS[family]
     fixed = {**kernel.fixed, **(fixed or {})}
     free = [nm for nm in kernel.names if nm not in fixed]
@@ -292,7 +308,15 @@ def fit_mad(
     if kernel.start is None:
         raise ValueError(f"no MAD fitting support for family {family}")
     start = kernel.start(sample.values, fixed)
-    return _fit_generic(sample, builder, free, {nm: start[nm] for nm in free}, config)
+    x0 = {nm: start[nm] for nm in free}
+    left = builder(x0).left_endpoint
+    x_min = float(sample.values[i_lo - 1])
+    if x_min <= left:
+        raise ValueError(
+            f"{family.value} left endpoint {left:g} is not below the smallest fitted "
+            f"observation {x_min:g} (rank {i_lo})"
+        )
+    return _fit_generic(sample, builder, free, x0, config, workers)
 
 
 def fit_gpd_ml(sample: OrderedSample, loc: float = 0.0) -> dict:
@@ -380,9 +404,15 @@ class PipelineResult:
         return theta
 
 
-def fit_pipeline(sample: OrderedSample, plan: PipelinePlan) -> PipelineResult:
+def fit_pipeline(
+    sample: OrderedSample, plan: PipelinePlan, workers: int = 1
+) -> PipelineResult:
     """Three-step composite fit: base on the middle range, upper adjuster and
-    transition probability on the tail, lower adjuster on the head."""
+    transition probability on the tail, lower adjuster on the head.
+
+    Up to `workers` processes share each step's optimizer restarts; the
+    result does not depend on how many.
+    """
     if plan.x_lower is not None and plan.x_upper is not None and plan.x_lower >= plan.x_upper:
         raise ValueError(f"x_lower ({plan.x_lower}) must be below x_upper ({plan.x_upper})")
     v = sample.values
@@ -407,7 +437,7 @@ def fit_pipeline(sample: OrderedSample, plan: PipelinePlan) -> PipelineResult:
         rlo, rhi = lo, hi
     cfg1 = replace(cfg1, rank_range=(rlo, rhi))
     base_fixed = {**KERNELS[plan.base_family].fixed, **plan.base_fixed}
-    base_fit = fit_mad(sample, plan.base_family, base_fixed, cfg1)
+    base_fit = fit_mad(sample, plan.base_family, base_fixed, cfg1, workers)
     base = spec_from_dict(plan.base_family, {**base_fixed, **base_fit.theta})
 
     # step 2: upper adjuster + transition probability on the tail subsample
@@ -433,13 +463,15 @@ def fit_pipeline(sample: OrderedSample, plan: PipelinePlan) -> PipelineResult:
             }
             # a base the upper mixture cannot take fails here, not in every restart
             upper_model(x0)
-            # the base is fixed here: S_b on the tail and at x_upper, once per step
-            s_tail = survival(base, tail.values)
+            # the base is fixed here: S_b on the fitted tail ranks and at
+            # x_upper, once per step
+            i_lo, i_hi = plan.upper_config.resolve_ranks(tail.n)
+            s_tail = survival(base, tail.values[i_lo - 1 : i_hi])
             s_at = survival(base, plan.x_upper)
             upper_fit = _fit_generic(
                 tail,
                 lambda theta: partial(_tail_cdf, upper_model(theta), s_base=s_tail, s_at=s_at),
-                ["p_upper", "beta", "sigma"], x0, plan.upper_config,
+                ["p_upper", "beta", "sigma"], x0, plan.upper_config, workers,
             )
             p_hat = upper_fit.theta["p_upper"]
             # boundary estimates are reported as exact 0/1
@@ -463,12 +495,13 @@ def fit_pipeline(sample: OrderedSample, plan: PipelinePlan) -> PipelineResult:
                 adjuster = lower_gpd_adjuster(theta["gamma_adj_l"], plan.x_lower)
                 return AdjustedModel(base, lower=LowerAdjustment(adjuster, plan.x_lower))
 
-            f_head = cdf(base, head.values)
+            i_lo, i_hi = plan.lower_config.resolve_ranks(head.n)
+            f_head = cdf(base, head.values[i_lo - 1 : i_hi])
             f_at = cdf(base, plan.x_lower)
             lower_fit = _fit_generic(
                 head,
                 lambda theta: partial(_head_cdf, lower_model(theta), f_base=f_head, f_at=f_at),
-                ["gamma_adj_l"], {"gamma_adj_l": -0.5}, plan.lower_config,
+                ["gamma_adj_l"], {"gamma_adj_l": -0.5}, plan.lower_config, workers,
             )
             lower = lower_model(lower_fit.theta).lower
 

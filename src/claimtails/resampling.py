@@ -4,15 +4,15 @@ degenerate-fit accounting for the estimation closures.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .claim_process import substream
 from .core_dist import OrderedSample
+from .parallel import fork_map
 
 # transition probabilities within this distance of 0/1 count as boundary fits
 DEGENERACY_TOL = 1e-3
@@ -59,47 +59,6 @@ def _replicate(sample: OrderedSample, fit_closure: Callable, seed: int, b: int):
     return {k: float(v) for k, v in theta.items()}
 
 
-# (sample, fit_closure, seed); set only inside forked pool workers
-_worker_args = None
-
-
-def _init_worker(*args) -> None:
-    global _worker_args
-    _worker_args = args
-
-
-def _run_chunk(indices: range) -> list:
-    return [_replicate(*_worker_args, b) for b in indices]
-
-
-def _run_replicates(sample, fit_closure, B: int, seed: int, workers: int) -> list:
-    """Per-replicate results in replicate order, None for a failed fit.
-
-    Replicates are cut into `workers` contiguous chunks; this process runs
-    the first and forked workers the rest.  Under `fork` the pool's initargs
-    are inherited rather than pickled, so the closure may be a lambda; only
-    index ranges and theta dicts cross process boundaries.
-    """
-    workers = min(workers, B)
-    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return [_replicate(sample, fit_closure, seed, b) for b in range(B)]
-    bounds = [B * w // workers for w in range(workers + 1)]
-    with ProcessPoolExecutor(
-        workers - 1,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker,
-        initargs=(sample, fit_closure, seed),
-    ) as pool:
-        futures = [
-            pool.submit(_run_chunk, range(bounds[w], bounds[w + 1]))
-            for w in range(1, workers)
-        ]
-        results = [_replicate(sample, fit_closure, seed, b) for b in range(bounds[1])]
-        for future in futures:
-            results.extend(future.result())
-    return results
-
-
 def bootstrap_fit(
     sample: OrderedSample,
     fit_closure: Callable,
@@ -117,16 +76,13 @@ def bootstrap_fit(
     from the seed, so the result does not depend on `workers`.
 
     With `workers > 1`, up to `min(workers, B)` processes (this one and
-    forked children) share the replicates, so `fit_closure` must be a pure
-    function of its resample.  Where the platform cannot fork, replicates
-    run serially.  A worker that dies raises `BrokenProcessPool`, a
-    `RuntimeError`.
+    forked children, see `fork_map`) share the replicates, so `fit_closure`
+    must be a pure function of its resample, and should fit with
+    `workers=1` so that pools do not nest.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    results = _run_replicates(sample, fit_closure, B, seed, workers)
+    results = fork_map(partial(_replicate, sample, fit_closure, seed), B, workers)
     params_per_rep = [theta for theta in results if theta is not None]
     failed = B - len(params_per_rep)
     if not params_per_rep:

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import claimtails as ct
-from claimtails import claim_process, estimation, gof, resampling
+from claimtails import claim_process, estimation, gof, parallel
 from claimtails.claim_process import NumericFailureError
-from claimtails.cli import InputError, main, read_config_file, read_loss_csv
+from claimtails.cli import InputError, main, read_config_file, read_loss_csv, write_csv
 from claimtails.estimation import FitFailedError
 from claimtails.tail_model import ProbeTooFarError
 
@@ -207,6 +207,35 @@ class TestFitCommand:
         assert rc == 1
         assert capsys.readouterr().err == "error: x_lower (5.0) must be below x_upper (2.0)\n"
 
+    def test_outputs_do_not_depend_on_cpu_count(self, tmp_path, loss_csv, monkeypatch):
+        pools = _record_pools(monkeypatch)
+        outputs = []
+        for cpus in ({0}, {0, 1, 2}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            out = tmp_path / f"fit{len(cpus)}"
+            assert main(["fit", "--input", str(loss_csv), "--x-lower", "0.2", "--x-upper", "20",
+                         "--seed", "3", "--out", str(out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
+        report = json.loads(outputs[0]["fit_report.json"])
+        assert report["upper_fit"] and report["lower_fit"]
+        assert pools == [2, 2, 2]  # one CPU: no pool; three CPUs: one per step
+
+    @pytest.mark.parametrize("flags,message", [
+        pytest.param(["--threshold", "-1"], "GPD location must be >=0, got {start}",
+                     id="outside-domain"),
+        pytest.param(["--base-family", "pareto", "--threshold", "5"],
+                     "pareto left endpoint 5 is not below the smallest fitted observation "
+                     "0.000119542 (rank 1)", id="left-endpoint"),
+    ])
+    def test_bad_threshold_is_named(self, flags, message, tmp_path, loss_csv, capsys):
+        values = read_loss_csv(str(loss_csv)).values
+        # the GPD fit's start point: gamma 0.5, sigma the median excess over loc -1
+        start = (0.5, float(np.median(values + 1.0)), -1.0)
+        assert main(["fit", "--input", str(loss_csv), *flags, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(start=start)}\n"
+        assert not (tmp_path / "o").exists()
+
 
 class TestTailTestCommand:
     def test_output_fields(self, tmp_path, loss_csv):
@@ -294,14 +323,7 @@ class TestBootstrapCommand:
         assert len(reps) == 9 - summary["failed"]
 
     def test_outputs_do_not_depend_on_cpu_count(self, tmp_path, loss_csv, monkeypatch):
-        pools = []
-
-        class RecordingPool(ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                pools.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(resampling, "ProcessPoolExecutor", RecordingPool)
+        pools = _record_pools(monkeypatch)
         outputs = []
         for cpus in ({0}, {0, 1, 2}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
@@ -311,7 +333,22 @@ class TestBootstrapCommand:
             outputs.append([(out / name).read_bytes()
                             for name in ("bootstrap.json", "bootstrap_replicates.csv")])
         assert outputs[0] == outputs[1]
-        assert pools == [2]  # one CPU: no pool; three CPUs: this process and two workers
+        # one CPU: no pool; three CPUs: this process and two workers, and the
+        # replicates fitted here start no pool of their own
+        assert pools == [2]
+
+
+def _record_pools(monkeypatch) -> list:
+    """Patch the one pool constructor; returns the worker count of each pool made."""
+    pools = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+    return pools
 
 
 def _raise(exc):
@@ -345,6 +382,19 @@ def _worker_dies(monkeypatch):
     monkeypatch.setattr(estimation, "fit_pipeline", fit_pipeline)
 
 
+def _restart_worker_dies(monkeypatch):
+    parent = os.getpid()
+    minimize = estimation.minimize
+
+    def dies_in_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(estimation, "minimize", dies_in_worker)
+
+
 class TestTypedFailures:
     """Library failures end as an `error:` line and a non-zero exit."""
 
@@ -354,6 +404,8 @@ class TestTypedFailures:
         pytest.param("bootstrap", _fails_to_fit, "all bootstrap replicates failed",
                      id="BootstrapFailedError"),
         pytest.param("bootstrap", _worker_dies, "terminated abruptly", id="BrokenProcessPool"),
+        pytest.param("fit", _restart_worker_dies, "terminated abruptly",
+                     id="BrokenProcessPool-restart"),
         pytest.param("thinning", _fails_quadrature, "integral failed", id="NumericFailureError"),
         pytest.param("qq", _probes_too_far, "underflows", id="ProbeTooFarError"),
         # no patch: with sigma = 1e6 the draws fall outside the bracket
@@ -430,6 +482,37 @@ class TestInputNaming:
         assert main([*argv, "--model", str(mpath), "--out", str(tmp_path / "o")]) == 1
         reason = reason.format(path=mpath)
         assert capsys.readouterr().err == f"error: cannot read model file {mpath}: {reason}\n"
+
+
+def reference_csv_text(header, rows):
+    """`write_csv`'s text as it was formatted value by value."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("header,rows", [
+        pytest.param(["x", "prob"], [(0.1, 1 / 3), (1e-300, 2.5e300), (-0.0, 7.0)], id="float"),
+        pytest.param(["a", "b"], [(np.float64(0.1), np.float64(-2.0)), (np.float64(1e22), 0.5)],
+                     id="np.float64"),
+        pytest.param(["n", "big"], [(3, 10**20), (np.int64(-7), True)], id="int"),
+        pytest.param(["name", "pct%"], [("a%s", "100%"), ("", "x,y")], id="str"),
+        pytest.param(["v", "w"], [(float("nan"), float("inf")), (-np.inf, np.nan)],
+                     id="nan-inf"),
+        pytest.param(["mixed", "kinds"], [(1.5, "a"), ("b", 2), (np.float32(0.1), 3.0)],
+                     id="mixed-columns"),
+        pytest.param(["x"], [], id="no-rows"),
+    ])
+    def test_matches_per_value_formatting(self, header, rows, tmp_path):
+        write_csv(tmp_path / "t.csv", header, iter(rows))
+        assert (tmp_path / "t.csv").read_text() == reference_csv_text(header, rows)
+
+    def test_row_wider_than_header(self, tmp_path):
+        with pytest.raises(ValueError, match="^every row of t.csv must have 2 cells$"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [(1.0, 2.0), (1.0, 2.0, 3.0)])
+        assert not (tmp_path / "t.csv").exists()
 
 
 def test_import_leaves_scipy_stats_and_integrate_unloaded():

@@ -1,12 +1,17 @@
+import os
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import claimtails as ct
-from claimtails import estimation, resampling
-from claimtails.estimation import LogDomainError, MadConfig, Weighting, mad_weights
-from claimtails.tail_model import ModelInvalidError
+from claimtails import estimation, parallel, resampling
+from claimtails.estimation import FitFailedError, LogDomainError, MadConfig, Weighting, mad_weights
+from claimtails.tail_model import ModelInvalidError, head_cdf, tail_cdf
 
 
 def half_cdf(x):
@@ -86,6 +91,36 @@ class TestMadObjective:
             ct.mad_objective(s, half_cdf, MadConfig(rank_range=(0, 3)))
         with pytest.raises(ValueError):
             ct.mad_objective(s, half_cdf, MadConfig(rank_range=(2, 5)))
+
+    def test_model_sees_only_the_rank_range(self):
+        s = ct.OrderedSample.from_values(np.arange(1.0, 11.0))
+        seen = []
+
+        def model(x):
+            seen.append(np.array(x))
+            return np.where(x == 6.0, 1.0, x / 11.0)
+
+        with pytest.raises(LogDomainError) as info:
+            ct.mad_objective(s, model, MadConfig(rank_range=(3, 7)))
+        np.testing.assert_array_equal(seen[0], [3.0, 4.0, 5.0, 6.0, 7.0])
+        assert info.value.rank == 6  # the global rank, not the position in the range
+
+    def test_out_of_range_degeneracy_is_ignored(self):
+        # the benchmark's composite law; the candidate's CDF rounds to 1 at
+        # rank 49998, above the range, and lies inside (0, 1) on the range
+        truth = ct.AdjustedModel(
+            ct.gpd(0.6, 1.0),
+            ct.UpperAdjustment(ct.shifted_weibull(20.0, 30.0, 2.0), 0.5, 20.0),
+            ct.LowerAdjustment(ct.lower_gpd_adjuster(-0.5, 0.2), 0.2),
+        )
+        rng = np.random.default_rng(np.random.SeedSequence([9001, 0]))
+        s = ct.sample_mechanism(truth, 50_000, rng)
+        candidate = ct.gpd(0.1, 1.0)
+        value = ct.mad_objective(s, candidate, MadConfig(rank_range=(8515, 49288)))
+        assert np.isfinite(value)
+        with pytest.raises(LogDomainError) as info:
+            ct.mad_objective(s, candidate, MadConfig(rank_range=(8515, 50_000)))
+        assert info.value.rank == 49998
 
 
 def reference_mad_objective(sample, cdf_fn, config):
@@ -194,6 +229,26 @@ class TestFitMad:
         d = ct.fit_mad(s, ct.Family.EXPONENTIAL).as_dict()
         assert {"theta", "objective_value", "converged", "weighting"} <= set(d)
 
+    @pytest.mark.parametrize("family,fixed,error,message", [
+        pytest.param(ct.Family.GPD, {"loc": -1.0}, ct.ParameterError,
+                     r"^GPD location must be >=0, got \(0\.5, ", id="outside-domain"),
+        pytest.param(ct.Family.PARETO, {"sigma": 5.0}, ValueError,
+                     r"^pareto left endpoint 5 is not below the smallest fitted observation "
+                     r"0\.00\d+ \(rank 1\)$", id="left-endpoint"),
+        pytest.param(ct.Family.GPD, {"loc": 0.5}, ValueError,
+                     r"^gpd left endpoint 0\.5 is not below", id="gpd-left-endpoint"),
+    ])
+    def test_bad_fixed_parameter_fails_before_any_restart(self, family, fixed, error, message,
+                                                          monkeypatch):
+        s = ct.sample(ct.gpd(0.5, 1.0), 600, seed=3)
+        monkeypatch.setattr(estimation, "minimize", _no_minimize)
+        with pytest.raises(error, match=message):
+            ct.fit_mad(s, family, fixed)
+
+
+def _no_minimize(*args, **kwargs):
+    raise AssertionError("no optimizer restart expected")
+
 
 class TestGpdMl:
     def test_recovery(self):
@@ -264,6 +319,27 @@ class TestSpacings:
             ct.spacings_estimate(s, (1e6, 1e7))
 
 
+def full_recovery_inputs():
+    truth = ct.AdjustedModel(
+        ct.gpd(1.0, 100.0),
+        ct.UpperAdjustment(ct.shifted_weibull(800.0, 2000.0, 2.0), 0.6, 800.0),
+        ct.LowerAdjustment(ct.lower_gpd_adjuster(-0.7, 30.0), 30.0),
+    )
+    s = ct.sample_mechanism(truth, 20000, seed=11)
+    return s, ct.PipelinePlan(base_family=ct.Family.GPD, x_lower=30.0, x_upper=800.0)
+
+
+# recorded before the pipeline fitted conditioned AdjustedModels
+FULL_RECOVERY_MODEL_JSON = (
+    '{"base": {"family": "gpd", "params": {"gamma": 1.0087618771370601, "loc": 0.0, '
+    '"sigma": 97.58165745347199}}, "lower": {"adjuster": {"family": "gpd", "params": '
+    '{"gamma": -0.7314034695385205, "loc": 0.0, "sigma": 21.942104086155616}}, '
+    '"x_lower": 30.0}, "upper": {"adjuster": {"family": "shifted_weibull", "params": '
+    '{"beta": 1.9317516975991564, "shift": 800.0, "sigma": 2071.563041746535}}, '
+    '"p_upper": 0.6028004533174722, "x_upper": 800.0}}'
+)
+
+
 class TestPipeline:
     def test_base_only(self):
         spec = ct.gpd(0.5, 2.0)
@@ -275,14 +351,7 @@ class TestPipeline:
 
     @pytest.fixture(scope="class")
     def full_fit(self):
-        truth = ct.AdjustedModel(
-            ct.gpd(1.0, 100.0),
-            ct.UpperAdjustment(ct.shifted_weibull(800.0, 2000.0, 2.0), 0.6, 800.0),
-            ct.LowerAdjustment(ct.lower_gpd_adjuster(-0.7, 30.0), 30.0),
-        )
-        s = ct.sample_mechanism(truth, 20000, seed=11)
-        plan = ct.PipelinePlan(base_family=ct.Family.GPD, x_lower=30.0, x_upper=800.0)
-        return ct.fit_pipeline(s, plan)
+        return ct.fit_pipeline(*full_recovery_inputs())
 
     def test_full_recovery(self, full_fit):
         out = full_fit
@@ -300,15 +369,7 @@ class TestPipeline:
         assert list(out.theta.items()) == list(expected.items())
 
     def test_full_recovery_model_is_reproduced(self, full_fit):
-        # recorded before the pipeline fitted conditioned AdjustedModels
-        assert ct.model_to_json(full_fit.model) == (
-            '{"base": {"family": "gpd", "params": {"gamma": 1.0087618771370601, "loc": 0.0, '
-            '"sigma": 97.58165745347199}}, "lower": {"adjuster": {"family": "gpd", "params": '
-            '{"gamma": -0.7314034695385205, "loc": 0.0, "sigma": 21.942104086155616}}, '
-            '"x_lower": 30.0}, "upper": {"adjuster": {"family": "shifted_weibull", "params": '
-            '{"beta": 1.9317516975991564, "shift": 800.0, "sigma": 2071.563041746535}}, '
-            '"p_upper": 0.6028004533174722, "x_upper": 800.0}}'
-        )
+        assert ct.model_to_json(full_fit.model) == FULL_RECOVERY_MODEL_JSON
 
     def test_bounded_base_rejected_before_upper_fit(self, monkeypatch):
         s = ct.sample(ct.gpd(-0.3, 1.0), 3000, seed=5)
@@ -379,6 +440,24 @@ class TestPipeline:
             )
             assert out.replicates == recorded, f"workers={workers}"
 
+    def test_adjuster_steps_honour_their_rank_range(self):
+        # the base values computed once per step cover the fitted ranks only
+        s, plan = self.small_composite()
+        plan = replace(plan, upper_config=replace(plan.upper_config, rank_range=(3, 20)),
+                       lower_config=replace(plan.lower_config, rank_range=(5, 100)))
+        out = ct.fit_pipeline(s, plan)
+        tail = ct.OrderedSample.from_values(s.values[s.values > plan.x_upper])
+        head = ct.OrderedSample.from_values(s.values[s.values < plan.x_lower])
+        upper = ct.AdjustedModel(out.model.base, ct.UpperAdjustment(
+            ct.shifted_weibull(plan.x_upper, out.upper_fit.theta["sigma"],
+                               out.upper_fit.theta["beta"]),
+            out.upper_fit.theta["p_upper"], plan.x_upper))
+        lower = ct.AdjustedModel(out.model.base, lower=out.model.lower)
+        assert out.upper_fit.objective_value == ct.mad_objective(
+            tail, partial(tail_cdf, upper), plan.upper_config)
+        assert out.lower_fit.objective_value == ct.mad_objective(
+            head, partial(head_cdf, lower), plan.lower_config)
+
     def test_swapped_thresholds_are_named(self):
         s, _ = self.small_composite()
         plan = ct.PipelinePlan(base_family=ct.Family.GPD, x_lower=5.0, x_upper=2.0)
@@ -405,3 +484,68 @@ class TestPipeline:
         out = ct.fit_pipeline(s, plan)
         assert out.model.upper is None
         assert any("upper step skipped" in w for w in out.warnings)
+
+
+def _pipeline_outputs(s, plan, workers):
+    out = ct.fit_pipeline(s, plan, workers=workers)
+    steps = [fit.as_dict() for fit in (out.base_fit, out.upper_fit, out.lower_fit)]
+    return ct.model_to_json(out.model), out.theta, steps
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("no process pool expected")
+
+
+class TestRestartWorkers:
+    """Forked workers share each step's restarts; results do not depend on how many."""
+
+    def test_pipeline_worker_count_invariance(self):
+        s, plan = TestPipeline.small_composite()
+        serial = _pipeline_outputs(s, plan, 1)
+        # theta, objective value, evaluation count and convergence of every step
+        assert all(step["evaluations"] > 0 for step in serial[2])
+        for workers in (2, 3, 7):
+            assert _pipeline_outputs(s, plan, workers) == serial, f"workers={workers}"
+
+    def test_full_recovery_model_is_reproduced_on_two_workers(self):
+        s, plan = full_recovery_inputs()
+        assert ct.model_to_json(ct.fit_pipeline(s, plan, workers=2).model) == (
+            FULL_RECOVERY_MODEL_JSON
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_restart_penalised(self, workers, monkeypatch):
+        def out_of_domain(sample, model, config):
+            raise LogDomainError(1)
+
+        monkeypatch.setattr(estimation, "mad_objective", out_of_domain)
+        s = ct.sample(ct.gpd(0.5, 1.0), 200, seed=0)
+        with pytest.raises(FitFailedError,
+                           match="^every optimizer restart ended in the penalty region$"):
+            ct.fit_mad(s, ct.Family.GPD, workers=workers)
+
+    def test_dead_worker_raises(self, monkeypatch):
+        parent = os.getpid()
+        minimize = estimation.minimize
+
+        def dies_in_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "minimize", dies_in_worker)
+        s = ct.sample(ct.gpd(0.5, 1.0), 200, seed=0)
+        with pytest.raises(BrokenProcessPool):
+            ct.fit_mad(s, ct.Family.GPD, workers=2)
+
+    @pytest.mark.parametrize("restarts,workers", [(5, 1), (1, 4)])
+    def test_one_worker_starts_no_process(self, restarts, workers, monkeypatch):
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _no_pool)
+        s = ct.sample(ct.gpd(0.5, 1.0), 200, seed=0)
+        fit = ct.fit_mad(s, ct.Family.GPD, config=MadConfig(restarts=restarts), workers=workers)
+        assert fit.evaluations > 0
+
+    def test_invalid_workers(self):
+        s = ct.sample(ct.gpd(0.5, 1.0), 200, seed=0)
+        with pytest.raises(ValueError, match="^workers must be >= 1$"):
+            ct.fit_mad(s, ct.Family.GPD, workers=0)

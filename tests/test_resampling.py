@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import claimtails as ct
-from claimtails import resampling
+from claimtails import parallel
 from claimtails.estimation import MadConfig
 from claimtails.resampling import BootstrapFailedError
 
@@ -66,7 +66,9 @@ class TestBootstrapFit:
         outer = 30
         for trial in range(outer):
             s = ct.sample(spec, 400, seed=trial)
-            out = ct.bootstrap_fit(s, gpd_closure(cfg), B=60, seed=trial, level=0.80)
+            # the draws do not depend on the worker count; two only save time
+            out = ct.bootstrap_fit(s, gpd_closure(cfg), B=60, seed=trial, level=0.80,
+                                   workers=2)
             lo, hi = out.intervals["gamma"]
             hits += lo <= 0.5 <= hi
         assert hits / outer >= 0.6
@@ -191,14 +193,14 @@ class TestWorkers:
                 sizes.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr(resampling, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
         s = ct.sample(ct.exponential(1.0), 40, seed=0)
         ct.bootstrap_fit(s, lambda r: {"c": float(r.values[0])}, B=3, seed=0, workers=8)
         assert sizes == [2]  # this process and two workers
 
     @pytest.mark.parametrize("B,workers", [(10, 1), (1, 4)])
     def test_one_worker_starts_no_process(self, B, workers, monkeypatch):
-        monkeypatch.setattr(resampling, "ProcessPoolExecutor", _no_pool)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _no_pool)
         s = ct.sample(ct.exponential(1.0), 40, seed=0)
         out = ct.bootstrap_fit(s, lambda r: {"c": float(r.values[0])}, B=B, seed=0,
                                workers=workers)
@@ -211,8 +213,8 @@ class TestWorkers:
             return {"c": float(r.values[0])}
 
         forked = ct.bootstrap_fit(s, fit, B=6, seed=1, keep_replicates=True, workers=3)
-        monkeypatch.setattr(resampling, "ProcessPoolExecutor", _no_pool)
-        monkeypatch.setattr(resampling.multiprocessing, "get_all_start_methods",
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _no_pool)
+        monkeypatch.setattr(parallel.multiprocessing, "get_all_start_methods",
                             lambda: ["spawn"])
         serial = ct.bootstrap_fit(s, fit, B=6, seed=1, keep_replicates=True, workers=3)
         assert serial.replicates == forked.replicates
