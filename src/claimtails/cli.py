@@ -238,7 +238,10 @@ def _build_plan(cfg: dict, sample: OrderedSample) -> PipelinePlan:
     family = Family(_cfg_choice(cfg, "base_family", _BASE_FAMILIES, "gpd"))
     threshold = _cfg_float(cfg, "threshold")
     if family == Family.PARETO:
-        fixed = {"sigma": threshold if threshold is not None else float(sample.values[0]) - 1e-9}
+        # just below the smallest loss; from 2**24 (~1.7e7) up, x1 - 1e-9 rounds back to x1
+        x1 = float(sample.values[0])
+        default = min(x1 - 1e-9, float(np.nextafter(x1, 0.0)))
+        fixed = {"sigma": threshold if threshold is not None else default}
     else:
         fixed = {"loc": threshold if threshold is not None else 0.0}
     base_cfg = _mad_config(cfg)

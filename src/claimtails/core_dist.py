@@ -7,6 +7,7 @@ evaluation and inverse-transform sampling, plus rank-based plotting positions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Union
@@ -205,6 +206,18 @@ KERNELS = {
 }
 
 
+def check_params(family: Family, p: tuple) -> None:
+    """Raise ParameterError unless the tuple `p` lies in the family's domain."""
+    kernel = KERNELS[family]
+    if len(p) != len(kernel.names):
+        raise ParameterError(f"{family.value} needs {len(kernel.names)} parameters, got {len(p)}")
+    if not all(map(math.isfinite, p)):
+        raise ParameterError(f"non-finite parameter in {p}")
+    for holds, requirement in kernel.requires:
+        if not holds(*p):
+            raise ParameterError(f"{requirement}, got {p}")
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
     """A tagged parametric family with its parameter vector.
@@ -217,17 +230,7 @@ class DistributionSpec:
     params: tuple
 
     def __post_init__(self):
-        p = self.params
-        kernel = KERNELS[self.family]
-        if len(p) != len(kernel.names):
-            raise ParameterError(
-                f"{self.family.value} needs {len(kernel.names)} parameters, got {len(p)}"
-            )
-        if not all(np.isfinite(p)):
-            raise ParameterError(f"non-finite parameter in {p}")
-        for holds, requirement in kernel.requires:
-            if not holds(*p):
-                raise ParameterError(f"{requirement}, got {p}")
+        check_params(self.family, self.params)
 
     def as_dict(self) -> dict:
         return dict(zip(KERNELS[self.family].names, self.params))

@@ -7,11 +7,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core_dist import (
     KERNELS,
@@ -19,6 +18,7 @@ from .core_dist import (
     Family,
     OrderedSample,
     cdf,
+    check_params,
     shifted_weibull,
     spec_from_dict,
     survival,
@@ -28,7 +28,9 @@ from .tail_model import (
     AdjustedModel,
     LowerAdjustment,
     UpperAdjustment,
+    _check_p_upper,
     _head_cdf,
+    _lower_gpd_params,
     _tail_cdf,
     adjusted_cdf,
     lower_gpd_adjuster,
@@ -158,8 +160,8 @@ def mad_objective(sample: OrderedSample, model, config: MadConfig) -> float:
     a, b, w = _rank_terms(n, i_lo, i_hi, config.weighting)
     s = a * np.log(f) + b * np.log1p(-f)
     if w is None:
-        return float(np.sum(s) / n)
-    return float(np.sum(w * s))
+        return float(s.sum() / n)
+    return float((w * s).sum())
 
 
 def _objective_direction(weighting: Weighting) -> float:
@@ -191,8 +193,112 @@ def _transform(name: str):
 _PENALTY = 1e12
 
 
+class _BudgetSpent(Exception):
+    """The optimizer's evaluation budget is spent."""
+
+
+def _clip(v: float, lo: float, hi: float) -> float:
+    # np.clip's rule: NaN passes through, and a value equal to a bound gives the bound
+    v = v if (v > lo or v != v) else lo
+    return v if (v < hi or v != v) else hi
+
+
+def _sort_vertices(sim: list, fsim: list) -> tuple:
+    # numpy's argsort, not sorted(): its order of tied values is the one to reproduce
+    order = np.array(fsim).argsort().tolist()
+    return [sim[i] for i in order], [fsim[i] for i in order]
+
+
+def _nelder_mead(
+    fn: Callable, x0: list, lb: list, ub: list, xatol: float, fatol: float, maxfev: int
+) -> tuple:
+    """Minimize `fn` over the box [lb, ub] from `x0`; returns (fun, x, nfev).
+
+    This is the adaptive Nelder-Mead of Gao & Han (2012) with clipped
+    vertices, as `scipy.optimize.minimize(method="Nelder-Mead", bounds=...,
+    options={"xatol", "fatol", "maxfev", "adaptive": True})` runs it, step
+    for step on Python floats, so all three outputs equal scipy's bit for bit.
+    `fn` gets each vertex as a list of floats.  Infinite bounds clip nothing.
+    """
+    n = len(x0)
+    dim = float(n)
+    rho, chi, psi, sigma = 1, 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
+    box = list(zip(lb, ub))
+
+    def clip(x: list) -> list:
+        return [_clip(v, lo, hi) for v, (lo, hi) in zip(x, box)]
+
+    nfev = 0
+
+    def f(x: list) -> float:
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return float(fn(x))
+
+    # initial simplex: each coordinate in turn 5 % larger (0.00025 where it is
+    # 0); a vertex above its upper bound is reflected into the box, then clipped
+    x0 = clip(x0)
+    sim = [x0]
+    for k in range(n):
+        y = list(x0)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    sim = [clip([2 * hi - v if v > hi else v for v, (_, hi) in zip(y, box)]) for y in sim]
+    fsim = [np.inf] * (n + 1)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    sim, fsim = _sort_vertices(sim, fsim)
+    sim, fsim = _sort_vertices(sim, fsim)
+
+    while nfev < maxfev:
+        try:
+            best, worst = sim[0], sim[-1]
+            if all(abs(v - b) <= xatol for y in sim[1:] for v, b in zip(y, best)) and all(
+                abs(fsim[0] - fy) <= fatol for fy in fsim[1:]
+            ):
+                break
+            xbar = [0.0] * n
+            for y in sim[:-1]:
+                xbar = [c + v for c, v in zip(xbar, y)]
+            xbar = [c / n for c in xbar]
+            xr = clip([(1 + rho) * c - rho * w for c, w in zip(xbar, worst)])
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = clip([(1 + rho * chi) * c - rho * chi * w for c, w in zip(xbar, worst)])
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = clip([(1 + psi * rho) * c - psi * rho * w for c, w in zip(xbar, worst)])
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                    if not shrink:
+                        sim[-1], fsim[-1] = xc, fxc
+                else:  # inside contraction
+                    xcc = clip([(1 - psi) * c + psi * w for c, w in zip(xbar, worst)])
+                    fxcc = f(xcc)
+                    shrink = not fxcc < fsim[-1]
+                    if not shrink:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                if shrink:
+                    for j in range(1, n + 1):
+                        sim[j] = clip([b + sigma * (v - b) for v, b in zip(sim[j], best)])
+                        fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
+        sim, fsim = _sort_vertices(sim, fsim)
+    return np.min(fsim), sim[0], nfev
+
+
 def _minimize_restarts(
-    fn: Callable, x0: np.ndarray, bounds_t, config: MadConfig, workers: int = 1
+    fn: Callable, x0: np.ndarray, lb: list, ub: list, config: MadConfig, workers: int = 1
 ) -> tuple:
     """Nelder-Mead with deterministic perturbed restarts in transformed space,
     shared by up to `workers` processes (see `fork_map`).
@@ -205,22 +311,8 @@ def _minimize_restarts(
     ]
 
     def restart(j: int) -> tuple:
-        start = x0 + offsets[j]
-        if bounds_t is not None:
-            start = np.clip(start, [b[0] for b in bounds_t], [b[1] for b in bounds_t])
-        res = minimize(
-            fn,
-            start,
-            method="Nelder-Mead",
-            bounds=bounds_t,
-            options={
-                "xatol": config.xtol,
-                "fatol": config.xtol,
-                "maxfev": config.max_evals,
-                "adaptive": True,
-            },
-        )
-        return res.fun, res.x, res.nfev
+        start = np.clip(x0 + offsets[j], lb, ub).tolist()
+        return _nelder_mead(fn, start, lb, ub, config.xtol, config.xtol, config.max_evals)
 
     runs = fork_map(restart, len(offsets), workers)
     evals = sum(nfev for _, _, nfev in runs)
@@ -233,48 +325,53 @@ def _minimize_restarts(
     if len(results) >= 2:
         f2, x2 = results[1]
         close_f = abs(best_f - f2) <= 1e-6 * max(1.0, abs(best_f))
-        close_x = np.max(np.abs(best_x - x2)) < 1e-3
+        close_x = np.max(np.abs(np.subtract(best_x, x2))) < 1e-3
         converged = bool(close_f or close_x)
     return best_x, best_f, converged, evals
 
 
+def _kernel_survival(family: Family, params: tuple) -> Callable:
+    """Survival function of `family` at the parameter tuple `params`, after
+    the domain check that a `DistributionSpec` would run."""
+    check_params(family, params)
+    survival_ = KERNELS[family].survival
+    return lambda x: survival_(x, *params)
+
+
 def _fit_generic(
     sample: OrderedSample,
-    model_builder: Callable,  # theta dict -> DistributionSpec/AdjustedModel/callable
+    cdf_of: Callable,
     free_names: Sequence[str],
     x0_natural: dict,
     config: MadConfig,
     workers: int = 1,
 ) -> FitResult:
-    fwd = {nm: _transform(nm)[0] for nm in free_names}
-    inv = {nm: _transform(nm)[1] for nm in free_names}
+    """Minimum-AD fit of `free_names`.  `cdf_of(*params)` takes their natural
+    values, in that order, and returns the candidate's CDF callable, or
+    raises ValueError where the candidate is outside the model's domain."""
+    fwd = [_transform(nm)[0] for nm in free_names]
+    inv = [_transform(nm)[1] for nm in free_names]
 
-    def to_theta(x: np.ndarray) -> dict:
-        return {nm: float(inv[nm](x[j])) for j, nm in enumerate(free_names)}
+    def natural(x: list) -> list:
+        return [float(g(v)) for g, v in zip(inv, x)]
 
     direction = _objective_direction(config.weighting)
 
-    def objective(x: np.ndarray) -> float:
+    def objective(x: list) -> float:
         try:
-            model = model_builder(to_theta(x))
-            return direction * mad_objective(sample, model, config)
+            return direction * mad_objective(sample, cdf_of(*natural(x)), config)
         except (ValueError, ArithmeticError, OverflowError):
             return _PENALTY
 
-    x0 = np.array([fwd[nm](x0_natural[nm]) for nm in free_names])
-    bounds_t = None
-    if config.bounds:
-        bounds_t = []
-        for j, nm in enumerate(free_names):
-            if nm in config.bounds:
-                lo, hi = config.bounds[nm]
-                bounds_t.append((fwd[nm](lo), fwd[nm](hi)))
-            else:
-                bounds_t.append((-np.inf, np.inf))
-    best_x, best_f, converged, evals = _minimize_restarts(
-        objective, x0, bounds_t, config, workers
-    )
-    theta = to_theta(best_x)
+    x0 = np.array([g(x0_natural[nm]) for g, nm in zip(fwd, free_names)])
+    bounds = config.bounds or {}
+    lb, ub = [], []
+    for g, nm in zip(fwd, free_names):
+        lo, hi = (g(b) for b in bounds[nm]) if nm in bounds else (-np.inf, np.inf)
+        lb.append(float(lo))
+        ub.append(float(hi))
+    best_x, best_f, converged, evals = _minimize_restarts(objective, x0, lb, ub, config, workers)
+    theta = dict(zip(free_names, natural(best_x)))
     return FitResult(theta, direction * best_f, converged, evals, config)
 
 
@@ -302,21 +399,24 @@ def fit_mad(
     if (i_hi - i_lo + 1) < len(free) + 1:
         raise ValueError("rank range too small for the number of free parameters")
 
-    def builder(theta: dict) -> DistributionSpec:
-        return spec_from_dict(family, {**fixed, **theta})
-
     if kernel.start is None:
         raise ValueError(f"no MAD fitting support for family {family}")
     start = kernel.start(sample.values, fixed)
     x0 = {nm: start[nm] for nm in free}
-    left = builder(x0).left_endpoint
+    left = spec_from_dict(family, {**fixed, **x0}).left_endpoint
     x_min = float(sample.values[i_lo - 1])
     if x_min <= left:
         raise ValueError(
             f"{family.value} left endpoint {left:g} is not below the smallest fitted "
             f"observation {x_min:g} (rank {i_lo})"
         )
-    return _fit_generic(sample, builder, free, x0, config, workers)
+
+    def cdf_of(*theta: float) -> Callable:
+        merged = {**fixed, **dict(zip(free, theta))}
+        survival_ = _kernel_survival(family, tuple(float(merged[nm]) for nm in kernel.names))
+        return lambda x: 1.0 - survival_(x)
+
+    return _fit_generic(sample, cdf_of, free, x0, config, workers)
 
 
 def fit_gpd_ml(sample: OrderedSample, loc: float = 0.0) -> dict:
@@ -468,10 +568,16 @@ def fit_pipeline(
             i_lo, i_hi = plan.upper_config.resolve_ranks(tail.n)
             s_tail = survival(base, tail.values[i_lo - 1 : i_hi])
             s_at = survival(base, plan.x_upper)
+
+            def tail_cdf_of(p: float, beta: float, sigma: float) -> Callable:
+                _check_p_upper(p)
+                s_adj = _kernel_survival(
+                    Family.SHIFTED_WEIBULL, (float(plan.x_upper), sigma, beta)
+                )
+                return lambda x: _tail_cdf(p, s_adj(x), s_tail, s_at)
+
             upper_fit = _fit_generic(
-                tail,
-                lambda theta: partial(_tail_cdf, upper_model(theta), s_base=s_tail, s_at=s_at),
-                ["p_upper", "beta", "sigma"], x0, plan.upper_config, workers,
+                tail, tail_cdf_of, ["p_upper", "beta", "sigma"], x0, plan.upper_config, workers
             )
             p_hat = upper_fit.theta["p_upper"]
             # boundary estimates are reported as exact 0/1
@@ -490,20 +596,28 @@ def fit_pipeline(
             warnings.append("lower step skipped: too few head observations")
         else:
             head = OrderedSample.from_values(head_values, label="lower head")
-
-            def lower_model(theta):
-                adjuster = lower_gpd_adjuster(theta["gamma_adj_l"], plan.x_lower)
-                return AdjustedModel(base, lower=LowerAdjustment(adjuster, plan.x_lower))
-
             i_lo, i_hi = plan.lower_config.resolve_ranks(head.n)
+            # F_b is 0 at and below the base's left endpoint, so every candidate's
+            # head CDF is 0 there
+            x_min = float(head.values[i_lo - 1])
+            if x_min <= base.left_endpoint:
+                raise ValueError(
+                    f"the smallest fitted head observation {x_min:g} (rank {i_lo}) is not "
+                    f"above the base's left endpoint {base.left_endpoint:g}"
+                )
             f_head = cdf(base, head.values[i_lo - 1 : i_hi])
             f_at = cdf(base, plan.x_lower)
+
+            def head_cdf_of(gamma_adj: float) -> Callable:
+                s_adj = _kernel_survival(Family.GPD, _lower_gpd_params(gamma_adj, plan.x_lower))
+                return lambda x: _head_cdf(1.0 - s_adj(x), f_head, f_at)
+
             lower_fit = _fit_generic(
-                head,
-                lambda theta: partial(_head_cdf, lower_model(theta), f_base=f_head, f_at=f_at),
-                ["gamma_adj_l"], {"gamma_adj_l": -0.5}, plan.lower_config, workers,
+                head, head_cdf_of, ["gamma_adj_l"], {"gamma_adj_l": -0.5}, plan.lower_config,
+                workers,
             )
-            lower = lower_model(lower_fit.theta).lower
+            adjuster = lower_gpd_adjuster(lower_fit.theta["gamma_adj_l"], plan.x_lower)
+            lower = LowerAdjustment(adjuster, plan.x_lower)
 
     model = AdjustedModel(base, upper, lower)
     return PipelineResult(model, base_fit, upper_fit, lower_fit, tuple(warnings))

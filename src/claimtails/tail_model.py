@@ -56,8 +56,7 @@ class AdjustedModel:
     def __post_init__(self):
         if self.upper is not None:
             u = self.upper
-            if not (0.0 <= u.p_upper <= 1.0):
-                raise ModelInvalidError(f"p_upper must lie in [0,1], got {u.p_upper}")
+            _check_p_upper(u.p_upper)
             if u.x_upper <= 0:
                 raise ModelInvalidError("x_upper must be positive")
             # the upper mixture is defined for unbounded tails only
@@ -78,23 +77,34 @@ class AdjustedModel:
                 raise ModelInvalidError("x_lower must be below x_upper")
 
 
+def _check_p_upper(p_upper: float) -> None:
+    if not (0.0 <= p_upper <= 1.0):
+        raise ModelInvalidError(f"p_upper must lie in [0,1], got {p_upper}")
+
+
+def _lower_gpd_params(gamma_adj: float, x_lower: float) -> tuple:
+    """GPD (gamma, sigma, loc) of the lower adjuster with shape gamma_adj < 0,
+    its right endpoint pinned at x_lower."""
+    if gamma_adj >= 0:
+        raise ModelInvalidError("lower GPD adjuster needs gamma < 0")
+    return float(gamma_adj), float(-gamma_adj * x_lower), 0.0
+
+
 def lower_gpd_adjuster(gamma_adj: float, x_lower: float) -> DistributionSpec:
     """GPD lower adjuster with negative shape whose right endpoint is pinned
     at x_lower, so its CDF is exactly 1 on [x_lower, inf)."""
-    if gamma_adj >= 0:
-        raise ModelInvalidError("lower GPD adjuster needs gamma < 0")
-    return gpd(gamma_adj, -gamma_adj * x_lower, loc=0.0)
+    return gpd(*_lower_gpd_params(gamma_adj, x_lower))
 
 
-def _upper_survival(model: AdjustedModel, x, s_base):
-    """Survival S_b*(p*S_a + 1-p) above x_upper, given s_base = S_b(x)."""
-    u = model.upper
-    return s_base * (u.p_upper * survival(u.adjuster, x) + (1.0 - u.p_upper))
+def _upper_survival(p, s_a, s_b):
+    """Survival S_b*(p*S_a + 1-p) above x_upper, from p = p_upper and the
+    adjuster and base survivals S_a and S_b at x."""
+    return s_b * (p * s_a + (1.0 - p))
 
 
-def _lower_cdf(model: AdjustedModel, x, f_base):
-    """CDF F_b*F_a below x_lower, given f_base = F_b(x)."""
-    return f_base * cdf(model.lower.adjuster, x)
+def _lower_cdf(f_a, f_b):
+    """CDF F_b*F_a below x_lower, from the adjuster and base CDFs at x."""
+    return f_b * f_a
 
 
 def adjusted_survival(model: AdjustedModel, x) -> Union[float, np.ndarray]:
@@ -102,13 +112,14 @@ def adjusted_survival(model: AdjustedModel, x) -> Union[float, np.ndarray]:
     sb = survival(model.base, xv)
     s = sb
     if model.upper is not None:
-        tail = xv >= model.upper.x_upper
+        u = model.upper
+        tail = xv >= u.x_upper
         if np.any(tail):
-            s = np.where(tail, _upper_survival(model, xv, sb), s)
+            s = np.where(tail, _upper_survival(u.p_upper, survival(u.adjuster, xv), sb), s)
     if model.lower is not None:
         head = xv <= model.lower.x_lower
         if np.any(head):
-            s = np.where(head, 1.0 - _lower_cdf(model, xv, 1.0 - sb), s)
+            s = np.where(head, 1.0 - _lower_cdf(cdf(model.lower.adjuster, xv), 1.0 - sb), s)
     return s if np.ndim(x) else float(s)
 
 
@@ -116,28 +127,31 @@ def adjusted_cdf(model: AdjustedModel, x) -> Union[float, np.ndarray]:
     return 1.0 - adjusted_survival(model, x)
 
 
-def _tail_cdf(model: AdjustedModel, x, s_base, s_at):
-    """`tail_cdf` given s_base = S_b(x) and s_at = S_b(x_upper)."""
-    return 1.0 - _upper_survival(model, x, s_base) / s_at
+def _tail_cdf(p, s_a, s_b, s_at):
+    """`tail_cdf` from p = p_upper, S_a and S_b at x, and s_at = S_b(x_upper)."""
+    return 1.0 - _upper_survival(p, s_a, s_b) / s_at
 
 
-def _head_cdf(model: AdjustedModel, x, f_base, f_at):
-    """`head_cdf` given f_base = F_b(x) and f_at = F_b(x_lower)."""
-    return _lower_cdf(model, x, f_base) / f_at
+def _head_cdf(f_a, f_b, f_at):
+    """`head_cdf` from F_a and F_b at x, and f_at = F_b(x_lower)."""
+    return _lower_cdf(f_a, f_b) / f_at
 
 
 def tail_cdf(model: AdjustedModel, x) -> Union[float, np.ndarray]:
     """CDF of the law conditioned on exceeding x_upper, 1 - S(x)/S_b(x_upper),
     for x >= x_upper (the adjuster leaves S(x_upper) = S_b(x_upper))."""
+    u = model.upper
     return _tail_cdf(
-        model, x, survival(model.base, x), survival(model.base, model.upper.x_upper)
+        u.p_upper, survival(u.adjuster, x), survival(model.base, x),
+        survival(model.base, u.x_upper),
     )
 
 
 def head_cdf(model: AdjustedModel, x) -> Union[float, np.ndarray]:
     """CDF of the law conditioned on falling below x_lower, F(x)/F_b(x_lower),
     for x <= x_lower."""
-    return _head_cdf(model, x, cdf(model.base, x), cdf(model.base, model.lower.x_lower))
+    lo = model.lower
+    return _head_cdf(cdf(lo.adjuster, x), cdf(model.base, x), cdf(model.base, lo.x_lower))
 
 
 def adjusted_quantile(model: AdjustedModel, p) -> Union[float, np.ndarray]:

@@ -221,12 +221,33 @@ class TestFitCommand:
         assert report["upper_fit"] and report["lower_fit"]
         assert pools == [2, 2, 2]  # one CPU: no pool; three CPUs: one per step
 
+    @pytest.mark.parametrize("shift", [0.0, 1e8])
+    def test_default_pareto_scale_is_just_below_the_smallest_loss(self, shift, tmp_path,
+                                                                   loss_csv):
+        values = read_loss_csv(str(loss_csv)).values + shift
+        path = tmp_path / "shifted.csv"
+        path.write_text("loss\n" + "\n".join(f"{v:.17g}" for v in values) + "\n")
+        x1 = float(read_loss_csv(str(path)).values[0])
+        out = tmp_path / "fit"
+        assert main(["fit", "--input", str(path), "--base-family", "pareto",
+                     "--out", str(out)]) == 0
+        sigma = json.loads((out / "model.json").read_text())["base"]["params"]["sigma"]
+        if shift == 0.0:
+            assert sigma == x1 - 1e-9 < x1
+        else:
+            # x1 - 1e-9 rounds back to x1 here; the next float below it does not
+            assert x1 - 1e-9 == x1
+            assert sigma == float(np.nextafter(x1, 0.0)) < x1
+
     @pytest.mark.parametrize("flags,message", [
         pytest.param(["--threshold", "-1"], "GPD location must be >=0, got {start}",
                      id="outside-domain"),
         pytest.param(["--base-family", "pareto", "--threshold", "5"],
                      "pareto left endpoint 5 is not below the smallest fitted observation "
                      "0.000119542 (rank 1)", id="left-endpoint"),
+        pytest.param(["--threshold", "0.5", "--x-lower", "0.7"],
+                     "the smallest fitted head observation 0.000119542 (rank 1) is not above "
+                     "the base's left endpoint 0.5", id="head-below-base"),
     ])
     def test_bad_threshold_is_named(self, flags, message, tmp_path, loss_csv, capsys):
         values = read_loss_csv(str(loss_csv)).values
@@ -384,15 +405,15 @@ def _worker_dies(monkeypatch):
 
 def _restart_worker_dies(monkeypatch):
     parent = os.getpid()
-    minimize = estimation.minimize
+    nelder_mead = estimation._nelder_mead
 
     def dies_in_worker(*args, **kwargs):
         if os.getpid() != parent:
             os._exit(3)
-        return minimize(*args, **kwargs)
+        return nelder_mead(*args, **kwargs)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(estimation, "minimize", dies_in_worker)
+    monkeypatch.setattr(estimation, "_nelder_mead", dies_in_worker)
 
 
 class TestTypedFailures:
@@ -517,9 +538,10 @@ class TestWriteCsv:
 
 def test_import_leaves_scipy_stats_and_integrate_unloaded():
     # they load on first use: the Q-Q normal margins, the GPD ML fit and the
-    # quadrature thinned CDF
+    # quadrature thinned CDF; the fits' optimizer is claimtails' own, so no
+    # scipy module loads at all, scipy.optimize included
     code = ("import sys, claimtails; "
-            "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     env = {**os.environ, "PYTHONPATH": str(Path(ct.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)

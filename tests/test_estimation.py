@@ -241,12 +241,12 @@ class TestFitMad:
     def test_bad_fixed_parameter_fails_before_any_restart(self, family, fixed, error, message,
                                                           monkeypatch):
         s = ct.sample(ct.gpd(0.5, 1.0), 600, seed=3)
-        monkeypatch.setattr(estimation, "minimize", _no_minimize)
+        monkeypatch.setattr(estimation, "_nelder_mead", _no_optimizer_run)
         with pytest.raises(error, match=message):
             ct.fit_mad(s, family, fixed)
 
 
-def _no_minimize(*args, **kwargs):
+def _no_optimizer_run(*args, **kwargs):
     raise AssertionError("no optimizer restart expected")
 
 
@@ -476,6 +476,25 @@ class TestPipeline:
                                              r"the ranks 11\.\.401 between the thresholds"):
             ct.fit_pipeline(s, plan)
 
+    @pytest.mark.parametrize("rank_range", [None, (3, 40)])
+    def test_head_below_the_base_support_is_named(self, rank_range, monkeypatch):
+        # a GPD base located at 0.5 gives the head below it probability 0
+        s = ct.sample(ct.gpd(0.5, 2.0), 600, seed=3)
+        lower_config = replace(ct.PipelinePlan.lower_config, rank_range=rank_range)
+        plan = ct.PipelinePlan(ct.Family.GPD, {"loc": 0.5}, x_lower=0.7,
+                               lower_config=lower_config)
+        rank = rank_range[0] if rank_range else 1
+        runs = []
+        nelder_mead = estimation._nelder_mead
+        monkeypatch.setattr(estimation, "_nelder_mead",
+                            lambda *args: runs.append(args) or nelder_mead(*args))
+        with pytest.raises(ValueError, match=(
+            rf"^the smallest fitted head observation {s.values[rank - 1]:g} \(rank {rank}\) "
+            r"is not above the base's left endpoint 0\.5$"
+        )):
+            ct.fit_pipeline(s, plan)
+        assert len(runs) == plan.base_config.restarts  # the base step's only
+
     def test_sparse_tail_warns_and_skips(self):
         s = ct.sample(ct.gpd(0.5, 2.0), 500, seed=12)
         plan = ct.PipelinePlan(
@@ -526,14 +545,14 @@ class TestRestartWorkers:
 
     def test_dead_worker_raises(self, monkeypatch):
         parent = os.getpid()
-        minimize = estimation.minimize
+        nelder_mead = estimation._nelder_mead
 
         def dies_in_worker(*args, **kwargs):
             if os.getpid() != parent:
                 os._exit(3)
-            return minimize(*args, **kwargs)
+            return nelder_mead(*args, **kwargs)
 
-        monkeypatch.setattr(estimation, "minimize", dies_in_worker)
+        monkeypatch.setattr(estimation, "_nelder_mead", dies_in_worker)
         s = ct.sample(ct.gpd(0.5, 1.0), 200, seed=0)
         with pytest.raises(BrokenProcessPool):
             ct.fit_mad(s, ct.Family.GPD, workers=2)

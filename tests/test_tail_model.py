@@ -122,7 +122,10 @@ class TestConditionalLaws:
         x = m.upper.x_upper * ratio
         s_base = ct.survival(m.base, x)
         s_at = ct.survival(m.base, m.upper.x_upper)
-        np.testing.assert_array_equal(_tail_cdf(m, x, s_base, s_at), tail_cdf(m, x))
+        s_adj = ct.survival(m.upper.adjuster, x)
+        np.testing.assert_array_equal(
+            _tail_cdf(m.upper.p_upper, s_adj, s_base, s_at), tail_cdf(m, x)
+        )
 
     @settings(max_examples=100)
     @given(lower_models(), st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1,
@@ -131,7 +134,8 @@ class TestConditionalLaws:
         x = m.lower.x_lower * frac
         f_base = ct.cdf(m.base, x)
         f_at = ct.cdf(m.base, m.lower.x_lower)
-        np.testing.assert_array_equal(_head_cdf(m, x, f_base, f_at), head_cdf(m, x))
+        f_adj = ct.cdf(m.lower.adjuster, x)
+        np.testing.assert_array_equal(_head_cdf(f_adj, f_base, f_at), head_cdf(m, x))
 
 
 class TestAdjustedQuantile:
