@@ -11,7 +11,7 @@ from typing import Union
 
 import numpy as np
 
-from .core_dist import DistributionSpec, OrderedSample, edf_positions
+from .core_dist import DistributionSpec, OrderedSample, cdf, edf_positions, pareto
 from .tail_model import AdjustedModel, adjusted_cdf, adjusted_quantile
 
 
@@ -52,16 +52,25 @@ def _run_lengths_rows(indicator: np.ndarray) -> np.ndarray:
 
 
 def _longest_runs_rows(indicator: np.ndarray) -> np.ndarray:
-    """Longest run of True per row, vectorized over a 2-d boolean array."""
-    return np.max(_run_lengths_rows(indicator), axis=1, initial=0)
+    """Longest run of True per row, vectorized over a 2-d boolean array.
+
+    Each row is padded with False on both sides, so in the flattened matrix
+    runs start and end at alternating value changes and never cross rows.
+    """
+    rows, c = indicator.shape
+    flat = np.pad(indicator, ((0, 0), (1, 1))).ravel()
+    edges = np.flatnonzero(flat[1:] != flat[:-1])
+    starts, ends = edges[0::2], edges[1::2]
+    longest = np.zeros(rows, dtype=np.intp)
+    np.maximum.at(longest, starts // (c + 2), ends - starts)
+    return longest
 
 
 def _tail_m(values_sorted: np.ndarray, sigma: float, alpha: float) -> int:
-    """Observed longest-run statistic for one ordered tail sample."""
-    k = values_sorted.size
-    edf = edf_positions(k)
-    model = 1.0 - np.power(sigma / values_sorted, alpha)
-    return int(_longest_runs_rows((edf > model)[None, :])[0])
+    """Observed longest-run statistic for one ordered tail sample above
+    sigma."""
+    model = cdf(pareto(alpha, sigma), values_sorted)
+    return int(_longest_runs_rows((edf_positions(values_sorted.size) > model)[None, :])[0])
 
 
 # Size of one float64 matrix of tail-test replicates held at a time.
@@ -69,21 +78,28 @@ _BLOCK_BYTES = 4 * 2**20
 
 
 def _simulated_m(
-    rng: np.random.Generator, rows: int, k: int, sigma: float, gamma_hat: float
+    rng: np.random.Generator, sims: np.ndarray, sigma: float, gamma_hat: float
 ) -> np.ndarray:
-    """Longest-run statistics of `rows` simulated Pareto tails of size k."""
+    """Longest-run statistics of simulated Pareto tails of size k, one per
+    row of the C-contiguous rows x (k+1) float buffer `sims`, which it
+    overwrites."""
     # mirror the observed procedure: the data tail is the top k of the k+1
     # exceedances above the threshold order statistic, so each replicate
     # draws k+1 and drops the smallest
-    u = np.clip(rng.random((rows, k + 1)), 1e-16, 1 - 1e-16)
-    sims = sigma * np.power(u, -gamma_hat)
+    rng.random(out=sims)
+    np.clip(sims, 1e-16, 1 - 1e-16, out=sims)
+    # ratio forms, not the Pareto kernel's sigma*q^(-1/alpha) and
+    # (sigma/x)^alpha: those differ in the last bit on many points, which
+    # can flip an EDF comparison and move recorded p-values
+    np.power(sims, -gamma_hat, out=sims)
+    np.multiply(sigma, sims, out=sims)
     sims.sort(axis=1)
-    sims = sims[:, 1:]
+    ratio = np.divide(sims[:, 1:], sigma, out=sims[:, 1:])
     # per-replicate Hill re-estimation with the same fixed scale
-    gamma_rep = np.mean(np.log(sims / sigma), axis=1)
-    edf = edf_positions(k)[None, :]
-    model = 1.0 - np.power(sims / sigma, -1.0 / gamma_rep[:, None])
-    return _longest_runs_rows(edf > model)
+    gamma_rep = np.mean(np.log(ratio), axis=1)
+    model = np.power(ratio, -1.0 / gamma_rep[:, None], out=ratio)
+    np.subtract(1.0, model, out=model)
+    return _longest_runs_rows(edf_positions(sims.shape[1] - 1)[None, :] > model)
 
 
 def pareto_tail_test(
@@ -117,9 +133,10 @@ def pareto_tail_test(
     # replicates are drawn and reduced in row blocks of about _BLOCK_BYTES
     # per (rows x k+1) matrix; the draws equal one reps x (k+1) draw
     rows = max(1, _BLOCK_BYTES // (8 * (k + 1)))
+    buf = np.empty((min(rows, reps), k + 1))
     exceed = 0
     for start in range(0, reps, rows):
-        m_sim = _simulated_m(rng, min(rows, reps - start), k, sigma, gamma_hat)
+        m_sim = _simulated_m(rng, buf[: reps - start], sigma, gamma_hat)
         exceed += int(np.sum(m_sim >= m_obs))
     p_value = exceed / reps
     return TailTestResult(k, m_obs, alpha_hat, sigma, p_value, reps, seed)
@@ -152,12 +169,13 @@ def qq_coordinates(
         empirical = sample.values.astype(float)
         keep = np.ones(n, dtype=bool)
     elif margins == Margins.STANDARD_NORMAL:
-        from scipy.stats import norm
+        # ndtri is norm.ppf bit for bit on (0, 1) without loading scipy.stats
+        from scipy.special import ndtri
 
         keep = (f_emp > 0.0) & (f_emp < 1.0)
-        theoretical = norm.ppf(pos)
+        theoretical = ndtri(pos)
         empirical = np.full(n, np.nan)
-        empirical[keep] = norm.ppf(f_emp[keep])
+        empirical[keep] = ndtri(f_emp[keep])
     else:  # standard Frechet: z = -1/ln F
         keep = (f_emp > 0.0) & (f_emp < 1.0)
         theoretical = -1.0 / np.log(pos)

@@ -537,9 +537,9 @@ class TestWriteCsv:
 
 
 def test_import_leaves_scipy_stats_and_integrate_unloaded():
-    # they load on first use: the Q-Q normal margins, the GPD ML fit and the
-    # quadrature thinned CDF; the fits' optimizer is claimtails' own, so no
-    # scipy module loads at all, scipy.optimize included
+    # they load on first use: the GPD ML fit and the quadrature thinned CDF
+    # (the Q-Q normal margins need only scipy.special); the fits' optimizer is
+    # claimtails' own, so no scipy module loads at all, scipy.optimize included
     code = ("import sys, claimtails; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     env = {**os.environ, "PYTHONPATH": str(Path(ct.__file__).parents[1])}

@@ -1,5 +1,15 @@
+import hashlib
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import claimtails as ct
 from claimtails import gof
@@ -49,8 +59,91 @@ class TestRunLengths:
         want = np.array([longest_run_loop(row) for row in ind])
         np.testing.assert_array_equal(got, want)
 
+    @given(hnp.arrays(np.bool_, st.tuples(st.integers(1, 40), st.integers(1, 60))))
+    @example(np.ones((4, 7), dtype=bool))
+    @example(np.zeros((4, 7), dtype=bool))
+    @example(np.array([[True], [False], [True], [True]]))
+    # a run reaching a row's last column, then a row starting with True
+    @example(np.array([[False, True, True], [True, True, False], [True, False, True]]))
+    def test_rows_match_loop_property(self, ind):
+        got = _longest_runs_rows(ind)
+        want = np.array([longest_run_loop(row) for row in ind])
+        np.testing.assert_array_equal(got, want)
+
+
+# SHA-256 prefixes of repr(pareto_tail_test(...).as_dict()), recorded before
+# the replicate path was rewritten; reps are given relative to the row block
+_GOLDEN_REPS = {
+    "1": lambda rows: 1,
+    "rows-1": lambda rows: rows - 1,
+    "rows": lambda rows: rows,
+    "2rows+17": lambda rows: 2 * rows + 17,
+    "10000": lambda rows: 10_000,
+}
+_GOLDEN_TAIL_TESTS = {
+    ('pareto', 3, '1', 4): '9df95e66a499623b',
+    ('pareto', 3, '1', 11): 'fe5453676d836f1d',
+    ('pareto', 3, 'rows-1', 4): '709b3c90d4e7795a',
+    ('pareto', 3, 'rows-1', 11): 'c7d3ef76c5a027a2',
+    ('pareto', 3, 'rows', 4): 'fffa68bdea9d183d',
+    ('pareto', 3, 'rows', 11): 'a51eba9c6d1c4bf8',
+    ('pareto', 3, '2rows+17', 4): '8835122452aa893a',
+    ('pareto', 3, '2rows+17', 11): 'd2436a3ac667feb0',
+    ('pareto', 3, '10000', 4): '7714dbaa7846dc48',
+    ('pareto', 3, '10000', 11): 'ed101260c6ff7f77',
+    ('pareto', 50, '1', 4): '54ae24910c992f91',
+    ('pareto', 50, '1', 11): '25b855dd0ae627a7',
+    ('pareto', 50, 'rows-1', 4): '5aeff5caf572461b',
+    ('pareto', 50, 'rows-1', 11): 'b487ca27d2b6720f',
+    ('pareto', 50, 'rows', 4): 'e2c714162dd3512e',
+    ('pareto', 50, 'rows', 11): '99927bb54ea434f7',
+    ('pareto', 50, '2rows+17', 4): 'e6adec8b1cd1c6db',
+    ('pareto', 50, '2rows+17', 11): '870282b8d086ebeb',
+    ('pareto', 50, '10000', 4): '7bb18bf7bf3bfb5c',
+    ('pareto', 50, '10000', 11): 'cb79ea7f603f30d0',
+    ('pareto', 500, '1', 4): 'f986c6826b20584b',
+    ('pareto', 500, '1', 11): '1bb938fa357e900d',
+    ('pareto', 500, 'rows-1', 4): '166ac5a62827e7f1',
+    ('pareto', 500, 'rows-1', 11): 'a5d9ad28ae788899',
+    ('pareto', 500, 'rows', 4): 'fd1db23829610867',
+    ('pareto', 500, 'rows', 11): '7120a6cc73e84924',
+    ('pareto', 500, '2rows+17', 4): 'c20878666bd7c2fc',
+    ('pareto', 500, '2rows+17', 11): '5f000edef8962256',
+    ('pareto', 500, '10000', 4): '9607618ad768610e',
+    ('pareto', 500, '10000', 11): 'd90909a38927f8b6',
+    ('ties', 6, '1', 4): 'b12ae5d3e0fd9002',
+    ('ties', 6, '1', 11): '4c98181b4210fbd8',
+    ('ties', 6, 'rows-1', 4): 'c21c5e9bc70ca081',
+    ('ties', 6, 'rows-1', 11): '875752e983316409',
+    ('ties', 6, 'rows', 4): 'a8298437a52132a9',
+    ('ties', 6, 'rows', 11): 'e6e90f72121d9478',
+    ('ties', 6, '2rows+17', 4): '032cf973b3385d04',
+    ('ties', 6, '2rows+17', 11): 'c0c7347dea6f877c',
+    ('ties', 6, '10000', 4): '41ba09fe19849805',
+    ('ties', 6, '10000', 11): '7bc6f44012dd7b17',
+}
+
+
+def _golden_sample(name):
+    if name == "pareto":
+        return ct.sample(ct.pareto(1.2, 1.0), 2000, seed=3)
+    # the sample of test_ties_at_threshold_warn
+    vals = np.concatenate([np.linspace(1, 2, 60), np.full(5, 2.0), [3.0, 4.0]])
+    return ct.OrderedSample.from_values(vals)
+
 
 class TestParetoTailTest:
+    @pytest.mark.parametrize("key", list(_GOLDEN_TAIL_TESTS), ids=str)
+    def test_results_match_recorded_bits(self, key):
+        name, k, reps_label, seed = key
+        rows = max(1, gof._BLOCK_BYTES // (8 * (k + 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = ct.pareto_tail_test(_golden_sample(name), k,
+                                      reps=_GOLDEN_REPS[reps_label](rows), seed=seed)
+        digest = hashlib.sha256(repr(res.as_dict()).encode()).hexdigest()[:16]
+        assert digest == _GOLDEN_TAIL_TESTS[key]
+
     def test_deterministic(self):
         s = ct.sample(ct.pareto(1.2, 1.0), 300, seed=5)
         a = ct.pareto_tail_test(s, 50, reps=2000, seed=1)
@@ -167,3 +260,29 @@ class TestQqCoordinates:
         s = ct.sample_mechanism(m, 200, seed=14)
         out = ct.qq_coordinates(s, m, Margins.ORIGINAL)
         assert out["theoretical"].size == 200
+
+    def test_normal_margins_leave_scipy_stats_unloaded(self):
+        code = ("import sys, claimtails as ct; "
+                "s = ct.sample(ct.gpd(0.5, 2.0), 50, seed=1); "
+                "ct.qq_coordinates(s, ct.gpd(0.5, 2.0), ct.Margins.STANDARD_NORMAL); "
+                "print('scipy.stats' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(ct.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "False"
+
+    def test_ndtri_matches_norm_ppf_bits(self):
+        from scipy.special import ndtri
+        from scipy.stats import norm
+
+        rng = np.random.default_rng(21)
+        tiny = np.finfo(float).tiny
+        p = np.concatenate([
+            rng.random(100_000),
+            10.0 ** rng.uniform(-320, 0, 50_000),
+            1.0 - 10.0 ** rng.uniform(-16, 0, 50_000),
+            ct.edf_positions(2_000),
+            [5e-324, tiny, 2.0**-53, 0.5, 1 - 2.0**-53, np.nextafter(1.0, 0)],
+        ])
+        p = p[(p > 0) & (p < 1)]
+        np.testing.assert_array_equal(ndtri(p).view(np.int64), norm.ppf(p).view(np.int64))
