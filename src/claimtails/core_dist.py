@@ -34,7 +34,9 @@ class Kernel:
     `survival(x, *p)`, `density(x, *p)`, `quantile(q, *p)` with q = 1 - probability,
     the endpoints `left(*p)` and `right(*p)`, and `requires`: (predicate, requirement)
     pairs.  `start(values, fixed)` seeds a minimum-AD fit (None: no fitting
-    support); `fixed` is what a fit holds constant unless told otherwise.
+    support); `fixed` is what a fit holds constant unless told otherwise.  The
+    survival of a family with fitting support also takes (k, 1) parameter
+    columns, one candidate per row (see `_power`).
     """
 
     names: tuple
@@ -54,13 +56,36 @@ def _pareto_start(v, fixed):
     return {"alpha": 1.0 / max(float(np.mean(logs)), 1e-6), "sigma": sigma}
 
 
+def _power(base, exponent):
+    """np.power(base, exponent) for a float exponent or a (k, 1) column of them.
+
+    A survival kernel takes its parameters as floats, or as (k, 1) columns of
+    k candidates with a (k, m) result.  A column is applied row by row with a
+    Python-float exponent: numpy takes its scalar-exponent fast paths (sqrt at
+    0.5, reciprocal at -1, square at 2) only for a scalar, so each row gets the
+    bits that one candidate's call gives.
+    """
+    if not isinstance(exponent, np.ndarray):
+        return np.power(base, exponent)
+    out = np.empty(np.broadcast(base, exponent).shape)
+    if np.shape(base) != out.shape:
+        base = np.broadcast_to(base, out.shape)
+    for row, b, e in zip(out, base, exponent[:, 0].tolist()):
+        np.power(b, e, out=row)
+    return out
+
+
 def _gpd_survival(xv, gamma, sigma, loc):
     z = np.maximum(xv - loc, 0.0)
-    if gamma == 0.0:
+    rows = isinstance(gamma, np.ndarray)  # a column of candidates picks a branch per row
+    exponential = gamma == 0.0
+    if exponential.all() if rows else exponential:
         return np.exp(-z / sigma)
     t = np.maximum(1.0 + gamma * z / sigma, 0.0)
-    with np.errstate(divide="ignore"):
-        return np.power(t, -1.0 / gamma)
+    # a subnormal gamma gives an infinite exponent, as Python's float division does
+    with np.errstate(divide="ignore", over="ignore"):
+        s = _power(t, -1.0 / gamma)
+    return np.where(exponential, np.exp(-z / sigma), s) if rows and exponential.any() else s
 
 
 def _gpd_density(xv, gamma, sigma, loc):
@@ -147,7 +172,7 @@ KERNELS = {
         requires=((lambda alpha, sigma: alpha > 0 and sigma > 0, "Pareto needs alpha>0, sigma>0"),),
         left=lambda alpha, sigma: sigma,
         survival=lambda xv, alpha, sigma: np.where(
-            xv < sigma, 1.0, np.power(sigma / np.maximum(xv, sigma), alpha)
+            xv < sigma, 1.0, _power(sigma / np.maximum(xv, sigma), alpha)
         ),
         density=lambda xv, alpha, sigma: np.where(
             xv < sigma, 0.0, alpha * sigma**alpha * np.power(np.maximum(xv, sigma), -alpha - 1.0)
@@ -185,7 +210,7 @@ KERNELS = {
                    "shifted Weibull needs shift>=0, sigma>0, beta>0"),),
         left=lambda shift, sigma, beta: shift,
         survival=lambda xv, shift, sigma, beta: np.exp(
-            -np.power(np.maximum(xv - shift, 0.0) / sigma, beta)
+            -_power(np.maximum(xv - shift, 0.0) / sigma, beta)
         ),
         density=_weibull_density,
         quantile=lambda q, shift, sigma, beta: shift + sigma * np.power(-np.log(q), 1.0 / beta),

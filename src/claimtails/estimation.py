@@ -5,10 +5,11 @@ normalized-spacings tail estimators, and the three-step composite pipeline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Generator, Optional, Sequence
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .core_dist import (
     spec_from_dict,
     survival,
 )
-from .parallel import fork_map
+from .parallel import fork_chunks
 from .tail_model import (
     AdjustedModel,
     LowerAdjustment,
@@ -75,11 +76,19 @@ class MadConfig:
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fit step's estimate.  `restarts` holds, in restart order, each
+    optimizer restart's (start, end, objective value, evaluations): start
+    and end map the free parameters to natural values, like `theta`, and
+    the value has the sign of `objective_value` (a restart that ended in
+    the penalty region shows the penalty, 1e12 in magnitude).  It is not
+    part of `as_dict`."""
+
     theta: dict
     objective_value: float
     converged: bool
     evaluations: int
     config: MadConfig
+    restarts: tuple = ()
 
     def as_dict(self) -> dict:
         return {
@@ -92,18 +101,25 @@ class FitResult:
         }
 
 
+def _degenerate(f: np.ndarray) -> np.ndarray:
+    """Where a CDF value is 0 or 1, so that one of its logs is infinite."""
+    return (f <= 0.0) | (f >= 1.0)
+
+
 def _cdf_values(values: np.ndarray, model, first_rank: int = 1) -> np.ndarray:
     """Model CDF at `values`, the order statistics of ranks first_rank, ...;
-    raises LogDomainError with the rank of the first value where it is 0 or 1."""
+    raises LogDomainError with the rank of the first value where it is 0 or 1.
+    A (k, m) result, one candidate per row, is returned unchecked."""
     if isinstance(model, DistributionSpec):
         f = np.asarray(cdf(model, values))
     elif isinstance(model, AdjustedModel):
         f = np.asarray(adjusted_cdf(model, values))
     else:
         f = np.asarray(model(values))
-    bad = np.nonzero((f <= 0.0) | (f >= 1.0))[0]
-    if bad.size:
-        raise LogDomainError(int(bad[0]) + first_rank)
+    if f.ndim == 1:
+        bad = np.nonzero(_degenerate(f))[0]
+        if bad.size:
+            raise LogDomainError(int(bad[0]) + first_rank)
     return f
 
 
@@ -145,7 +161,7 @@ def _rank_terms(n: int, i_lo: int, i_hi: int, weighting: Weighting) -> tuple:
     return terms
 
 
-def mad_objective(sample: OrderedSample, model, config: MadConfig) -> float:
+def mad_objective(sample: OrderedSample, model, config: MadConfig) -> float | np.ndarray:
     """Fit objective over the configured rank range.
 
     Unweighted mode is the Bernoulli mixed likelihood (to be maximized);
@@ -153,15 +169,28 @@ def mad_objective(sample: OrderedSample, model, config: MadConfig) -> float:
     expectation F(x_i) = i/(n+1) and are minimized, with value = rank count
     at a perfect EDF match.  The model is evaluated on the in-range order
     statistics only, so a callable model receives exactly those.
+
+    A callable model may also return a (k, m) array, the CDFs of k candidates
+    in its rows.  The value is then an array of the k candidates' values,
+    each bit for bit the one a candidate gets alone, with inf in each row
+    where the CDF is 0 or 1 (where one candidate raises LogDomainError).
     """
     n = sample.n
     i_lo, i_hi = config.resolve_ranks(n)
     f = _cdf_values(sample.values[i_lo - 1 : i_hi], model, i_lo)
     a, b, w = _rank_terms(n, i_lo, i_hi, config.weighting)
+    degenerate = None
+    if f.ndim == 2 and not (f.min() > 0.0 and f.max() < 1.0):  # NaN comes here too
+        # keep the rows that reach 0 or 1 out of the logs, which would warn on them
+        degenerate = _degenerate(f).any(axis=1)
+        f = np.where(degenerate[:, None], 0.5, f)
     s = a * np.log(f) + b * np.log1p(-f)
-    if w is None:
-        return float(s.sum() / n)
-    return float((w * s).sum())
+    value = s.sum(axis=-1) / n if w is None else (w * s).sum(axis=-1)
+    if f.ndim == 1:
+        return float(value)
+    if degenerate is not None:
+        value[degenerate] = math.inf
+    return value
 
 
 def _objective_direction(weighting: Weighting) -> float:
@@ -192,6 +221,10 @@ def _transform(name: str):
 
 _PENALTY = 1e12
 
+# most elements (candidates x fitted ranks) one batched objective call takes:
+# beyond a few hundred kB per temporary, a wider batch costs more than it saves
+_BATCH_ELEMENTS = 2**15
+
 
 class _BudgetSpent(Exception):
     """The optimizer's evaluation budget is spent."""
@@ -209,16 +242,18 @@ def _sort_vertices(sim: list, fsim: list) -> tuple:
     return [sim[i] for i in order], [fsim[i] for i in order]
 
 
-def _nelder_mead(
-    fn: Callable, x0: list, lb: list, ub: list, xatol: float, fatol: float, maxfev: int
-) -> tuple:
-    """Minimize `fn` over the box [lb, ub] from `x0`; returns (fun, x, nfev).
+def _nelder_mead_steps(
+    x0: list, lb: list, ub: list, xatol: float, fatol: float, maxfev: int
+) -> Generator:
+    """Minimize over the box [lb, ub] from `x0`: yields each vertex to
+    evaluate, as a list of floats, takes its value by `send`, and returns
+    (fun, x, nfev).
 
     This is the adaptive Nelder-Mead of Gao & Han (2012) with clipped
     vertices, as `scipy.optimize.minimize(method="Nelder-Mead", bounds=...,
     options={"xatol", "fatol", "maxfev", "adaptive": True})` runs it, step
     for step on Python floats, so all three outputs equal scipy's bit for bit.
-    `fn` gets each vertex as a list of floats.  Infinite bounds clip nothing.
+    Infinite bounds clip nothing.
     """
     n = len(x0)
     dim = float(n)
@@ -230,12 +265,13 @@ def _nelder_mead(
 
     nfev = 0
 
-    def f(x: list) -> float:
+    def spend(x: list) -> list:
+        # the vertex to yield, once the budget allows one more evaluation
         nonlocal nfev
         if nfev >= maxfev:
             raise _BudgetSpent
         nfev += 1
-        return float(fn(x))
+        return x
 
     # initial simplex: each coordinate in turn 5 % larger (0.00025 where it is
     # 0); a vertex above its upper bound is reflected into the box, then clipped
@@ -249,7 +285,7 @@ def _nelder_mead(
     fsim = [np.inf] * (n + 1)
     try:
         for k in range(n + 1):
-            fsim[k] = f(sim[k])
+            fsim[k] = float((yield spend(sim[k])))
     except _BudgetSpent:
         pass
     sim, fsim = _sort_vertices(sim, fsim)
@@ -267,56 +303,97 @@ def _nelder_mead(
                 xbar = [c + v for c, v in zip(xbar, y)]
             xbar = [c / n for c in xbar]
             xr = clip([(1 + rho) * c - rho * w for c, w in zip(xbar, worst)])
-            fxr = f(xr)
+            fxr = float((yield spend(xr)))
             if fxr < fsim[0]:
                 xe = clip([(1 + rho * chi) * c - rho * chi * w for c, w in zip(xbar, worst)])
-                fxe = f(xe)
+                fxe = float((yield spend(xe)))
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 if fxr < fsim[-1]:  # outside contraction
                     xc = clip([(1 + psi * rho) * c - psi * rho * w for c, w in zip(xbar, worst)])
-                    fxc = f(xc)
+                    fxc = float((yield spend(xc)))
                     shrink = not fxc <= fxr
                     if not shrink:
                         sim[-1], fsim[-1] = xc, fxc
                 else:  # inside contraction
                     xcc = clip([(1 - psi) * c + psi * w for c, w in zip(xbar, worst)])
-                    fxcc = f(xcc)
+                    fxcc = float((yield spend(xcc)))
                     shrink = not fxcc < fsim[-1]
                     if not shrink:
                         sim[-1], fsim[-1] = xcc, fxcc
                 if shrink:
                     for j in range(1, n + 1):
                         sim[j] = clip([b + sigma * (v - b) for v, b in zip(sim[j], best)])
-                        fsim[j] = f(sim[j])
+                        fsim[j] = float((yield spend(sim[j])))
         except _BudgetSpent:
             pass
         sim, fsim = _sort_vertices(sim, fsim)
     return np.min(fsim), sim[0], nfev
 
 
-def _minimize_restarts(
-    fn: Callable, x0: np.ndarray, lb: list, ub: list, config: MadConfig, workers: int = 1
-) -> tuple:
-    """Nelder-Mead with deterministic perturbed restarts in transformed space,
-    shared by up to `workers` processes (see `fork_map`).
+def _lockstep(evaluate: Callable, runs: list) -> list:
+    """Drive the `_nelder_mead_steps` generators `runs` together; returns
+    their (fun, x, nfev), in run order.
 
-    Returns (best_x, best_f, converged, total_evals).
+    Each round, `evaluate` gets the pending vertex of every run still going,
+    in run order, and returns their values in that order.  A run's steps do
+    not depend on the others, so each result is the one the run gives alone.
+    """
+    results = [None] * len(runs)
+    pending = {}  # run index -> the vertex it waits on; kept in run order
+
+    def advance(j: int, value) -> None:
+        try:
+            pending[j] = runs[j].send(value)
+        except StopIteration as stop:
+            pending.pop(j, None)
+            results[j] = stop.value
+
+    for j in range(len(runs)):
+        advance(j, None)
+    while pending:
+        for j, value in zip(list(pending), evaluate(list(pending.values()))):
+            advance(j, value)
+    return results
+
+
+def _nelder_mead(
+    fn: Callable, x0: list, lb: list, ub: list, xatol: float, fatol: float, maxfev: int
+) -> tuple:
+    """Minimize `fn`, which gets each vertex as a list of floats, over the box
+    [lb, ub] from `x0`; returns (fun, x, nfev) of `_nelder_mead_steps`."""
+    steps = _nelder_mead_steps(x0, lb, ub, xatol, fatol, maxfev)
+    return _lockstep(lambda vertices: [fn(x) for x in vertices], [steps])[0]
+
+
+def _minimize_restarts(
+    evaluate: Callable, x0: np.ndarray, lb: list, ub: list, config: MadConfig, workers: int = 1
+) -> tuple:
+    """Nelder-Mead with deterministic perturbed restarts in transformed space.
+
+    Up to `workers` processes share the restarts in contiguous chunks (see
+    `fork_chunks`), and each runs its chunk in lockstep: `evaluate` gets a
+    list of vertices, one per restart still going, and returns their values.
+    Returns (best_x, best_f, converged, total_evals, runs), where `runs`
+    holds each restart's (start, fun, x, nfev), in restart order.
     """
     rng = np.random.default_rng(20240817)
     offsets = [np.zeros_like(x0)] + [
         0.35 * rng.standard_normal(x0.size) for _ in range(config.restarts - 1)
     ]
+    starts = [np.clip(x0 + offset, lb, ub).tolist() for offset in offsets]
 
-    def restart(j: int) -> tuple:
-        start = np.clip(x0 + offsets[j], lb, ub).tolist()
-        return _nelder_mead(fn, start, lb, ub, config.xtol, config.xtol, config.max_evals)
+    def chunk(indices: range) -> list:
+        return _lockstep(evaluate, [
+            _nelder_mead_steps(starts[j], lb, ub, config.xtol, config.xtol, config.max_evals)
+            for j in indices
+        ])
 
-    runs = fork_map(restart, len(offsets), workers)
-    evals = sum(nfev for _, _, nfev in runs)
-    results = [(f, x) for f, x, _ in runs if np.isfinite(f) and f < _PENALTY / 2]
+    runs = [(start, *run) for start, run in zip(starts, fork_chunks(chunk, len(starts), workers))]
+    evals = sum(nfev for *_, nfev in runs)
+    results = [(f, x) for _, f, x, _ in runs if np.isfinite(f) and f < _PENALTY / 2]
     if not results:
         raise FitFailedError("every optimizer restart ended in the penalty region")
     results.sort(key=lambda t: t[0])
@@ -327,42 +404,121 @@ def _minimize_restarts(
         close_f = abs(best_f - f2) <= 1e-6 * max(1.0, abs(best_f))
         close_x = np.max(np.abs(np.subtract(best_x, x2))) < 1e-3
         converged = bool(close_f or close_x)
-    return best_x, best_f, converged, evals
+    return best_x, best_f, converged, evals, runs
 
 
-def _kernel_survival(family: Family, params: tuple) -> Callable:
-    """Survival function of `family` at the parameter tuple `params`, after
-    the domain check that a `DistributionSpec` would run."""
-    check_params(family, params)
-    survival_ = KERNELS[family].survival
-    return lambda x: survival_(x, *params)
+def _batch_objective(
+    sample: OrderedSample, params_of: Callable, cdf_of: Callable, config: MadConfig
+) -> Callable:
+    """The fit's objective of a list of candidates, each a list of natural
+    values of the free parameters: a list of floats, minimized.
+
+    `params_of(*theta)` maps one candidate to the tuple of floats its CDF
+    takes, and raises ValueError outside the model's domain; such a
+    candidate, and one whose CDF is 0 or 1 at a fitted observation, gets
+    `_PENALTY`.  `cdf_of(*columns)` takes those parameters as (k, 1) columns
+    of k candidates and returns the CDF callable, with a (k, m) result.  The
+    others go to `mad_objective` in batches of at most `_BATCH_ELEMENTS`
+    elements (one candidate where the fitted ranks alone are more).
+    """
+    direction = _objective_direction(config.weighting)
+    i_lo, i_hi = config.resolve_ranks(sample.n)
+    per_call = max(1, _BATCH_ELEMENTS // (i_hi - i_lo + 1))
+
+    def objective(candidates: list) -> list:
+        values = [_PENALTY] * len(candidates)
+        rows, at = [], []
+        for j, theta in enumerate(candidates):
+            try:
+                rows.append(params_of(*theta))
+            except (ValueError, ArithmeticError):
+                continue
+            at.append(j)
+        for lo in range(0, len(rows), per_call):
+            columns = np.array(rows[lo : lo + per_call]).T[:, :, None]
+            batch = mad_objective(sample, cdf_of(*columns), config).tolist()
+            for j, v in zip(at[lo : lo + per_call], batch):
+                values[j] = _PENALTY if v == math.inf else direction * v
+        return values
+
+    return objective
+
+
+def _family_candidates(family: Family, fixed: dict, free: Sequence[str]) -> tuple:
+    """(params_of, cdf_of) of `_batch_objective` for `family` with the
+    parameters `fixed` held and `free` fitted, in that order."""
+    kernel = KERNELS[family]
+    # held parameters enter the kernel as floats, so only the free ones broadcast
+    held = {i: float(fixed[nm]) for i, nm in enumerate(kernel.names) if nm in fixed}
+
+    def params_of(*theta: float) -> tuple:
+        merged = {**fixed, **dict(zip(free, theta))}
+        params = tuple(float(merged[nm]) for nm in kernel.names)
+        check_params(family, params)
+        return params
+
+    def cdf_of(*params) -> Callable:
+        params = [held.get(i, p) for i, p in enumerate(params)]
+        return lambda x: 1.0 - kernel.survival(x, *params)
+
+    return params_of, cdf_of
+
+
+def _tail_candidates(x_upper: float, s_tail: np.ndarray, s_at: float) -> tuple:
+    """(params_of, cdf_of) of `_batch_objective` for the upper step's
+    (p_upper, beta, sigma): the tail CDF of the fixed base, with survival
+    `s_tail` on the fitted tail and `s_at` at x_upper, mixed with a shifted
+    Weibull adjuster at x_upper."""
+    shift = float(x_upper)
+    survival_ = KERNELS[Family.SHIFTED_WEIBULL].survival
+
+    def params_of(p: float, beta: float, sigma: float) -> tuple:
+        _check_p_upper(p)
+        check_params(Family.SHIFTED_WEIBULL, (shift, sigma, beta))
+        return p, sigma, beta
+
+    def cdf_of(p, sigma, beta) -> Callable:
+        return lambda x: _tail_cdf(p, survival_(x, shift, sigma, beta), s_tail, s_at)
+
+    return params_of, cdf_of
+
+
+def _head_candidates(x_lower: float, f_head: np.ndarray, f_at: float) -> tuple:
+    """(params_of, cdf_of) of `_batch_objective` for the lower step's
+    gamma_adj_l: the head CDF of the fixed base, with CDF `f_head` on the
+    fitted head and `f_at` at x_lower, times an endpoint-pinned GPD adjuster."""
+    survival_ = KERNELS[Family.GPD].survival
+
+    def params_of(gamma_adj: float) -> tuple:
+        params = _lower_gpd_params(gamma_adj, x_lower)
+        check_params(Family.GPD, params)
+        return params
+
+    def cdf_of(gamma, sigma, loc) -> Callable:
+        return lambda x: _head_cdf(1.0 - survival_(x, gamma, sigma, loc), f_head, f_at)
+
+    return params_of, cdf_of
 
 
 def _fit_generic(
     sample: OrderedSample,
-    cdf_of: Callable,
+    candidates: tuple,
     free_names: Sequence[str],
     x0_natural: dict,
     config: MadConfig,
     workers: int = 1,
 ) -> FitResult:
-    """Minimum-AD fit of `free_names`.  `cdf_of(*params)` takes their natural
-    values, in that order, and returns the candidate's CDF callable, or
-    raises ValueError where the candidate is outside the model's domain."""
+    """Minimum-AD fit of `free_names`, whose `candidates` are the
+    (params_of, cdf_of) pair of `_batch_objective`."""
     fwd = [_transform(nm)[0] for nm in free_names]
     inv = [_transform(nm)[1] for nm in free_names]
 
-    def natural(x: list) -> list:
-        return [float(g(v)) for g, v in zip(inv, x)]
+    def natural(vertices: list) -> list:
+        # each vertex's natural values, with one transform call per parameter
+        columns = np.array(vertices, dtype=float).T
+        return np.array([g(c) for g, c in zip(inv, columns)]).T.tolist()
 
-    direction = _objective_direction(config.weighting)
-
-    def objective(x: list) -> float:
-        try:
-            return direction * mad_objective(sample, cdf_of(*natural(x)), config)
-        except (ValueError, ArithmeticError, OverflowError):
-            return _PENALTY
-
+    objective = _batch_objective(sample, *candidates, config)
     x0 = np.array([g(x0_natural[nm]) for g, nm in zip(fwd, free_names)])
     bounds = config.bounds or {}
     lb, ub = [], []
@@ -370,9 +526,17 @@ def _fit_generic(
         lo, hi = (g(b) for b in bounds[nm]) if nm in bounds else (-np.inf, np.inf)
         lb.append(float(lo))
         ub.append(float(hi))
-    best_x, best_f, converged, evals = _minimize_restarts(objective, x0, lb, ub, config, workers)
-    theta = dict(zip(free_names, natural(best_x)))
-    return FitResult(theta, direction * best_f, converged, evals, config)
+    best_x, best_f, converged, evals, runs = _minimize_restarts(
+        lambda vertices: objective(natural(vertices)), x0, lb, ub, config, workers
+    )
+    direction = _objective_direction(config.weighting)
+    starts, ends = (natural([run[i] for run in runs]) for i in (0, 2))
+    restarts = tuple(
+        (dict(zip(free_names, start)), dict(zip(free_names, end)), float(direction * f), nfev)
+        for start, end, (_, f, _, nfev) in zip(starts, ends, runs)
+    )
+    theta = dict(zip(free_names, natural([best_x])[0]))
+    return FitResult(theta, direction * best_f, converged, evals, config, restarts)
 
 
 def fit_mad(
@@ -411,12 +575,7 @@ def fit_mad(
             f"observation {x_min:g} (rank {i_lo})"
         )
 
-    def cdf_of(*theta: float) -> Callable:
-        merged = {**fixed, **dict(zip(free, theta))}
-        survival_ = _kernel_survival(family, tuple(float(merged[nm]) for nm in kernel.names))
-        return lambda x: 1.0 - survival_(x)
-
-    return _fit_generic(sample, cdf_of, free, x0, config, workers)
+    return _fit_generic(sample, _family_candidates(family, fixed, free), free, x0, config, workers)
 
 
 def fit_gpd_ml(sample: OrderedSample, loc: float = 0.0) -> dict:
@@ -569,15 +728,9 @@ def fit_pipeline(
             s_tail = survival(base, tail.values[i_lo - 1 : i_hi])
             s_at = survival(base, plan.x_upper)
 
-            def tail_cdf_of(p: float, beta: float, sigma: float) -> Callable:
-                _check_p_upper(p)
-                s_adj = _kernel_survival(
-                    Family.SHIFTED_WEIBULL, (float(plan.x_upper), sigma, beta)
-                )
-                return lambda x: _tail_cdf(p, s_adj(x), s_tail, s_at)
-
             upper_fit = _fit_generic(
-                tail, tail_cdf_of, ["p_upper", "beta", "sigma"], x0, plan.upper_config, workers
+                tail, _tail_candidates(plan.x_upper, s_tail, s_at), ["p_upper", "beta", "sigma"],
+                x0, plan.upper_config, workers,
             )
             p_hat = upper_fit.theta["p_upper"]
             # boundary estimates are reported as exact 0/1
@@ -608,13 +761,9 @@ def fit_pipeline(
             f_head = cdf(base, head.values[i_lo - 1 : i_hi])
             f_at = cdf(base, plan.x_lower)
 
-            def head_cdf_of(gamma_adj: float) -> Callable:
-                s_adj = _kernel_survival(Family.GPD, _lower_gpd_params(gamma_adj, plan.x_lower))
-                return lambda x: _head_cdf(1.0 - s_adj(x), f_head, f_at)
-
             lower_fit = _fit_generic(
-                head, head_cdf_of, ["gamma_adj_l"], {"gamma_adj_l": -0.5}, plan.lower_config,
-                workers,
+                head, _head_candidates(plan.x_lower, f_head, f_at), ["gamma_adj_l"],
+                {"gamma_adj_l": -0.5}, plan.lower_config, workers,
             )
             adjuster = lower_gpd_adjuster(lower_fit.theta["gamma_adj_l"], plan.x_lower)
             lower = LowerAdjustment(adjuster, plan.x_lower)

@@ -6,14 +6,14 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable
 
-# the mapped task and the workers' start barrier; set only inside forked pool workers
-_worker_task = None
+# the chunk task and the workers' start barrier; set only inside forked pool workers
+_chunk_task = None
 _chunk_barrier = None
 
 
 def _init_worker(task: Callable, barrier) -> None:
-    global _worker_task, _chunk_barrier
-    _worker_task = task
+    global _chunk_task, _chunk_barrier
+    _chunk_task = task
     _chunk_barrier = barrier
 
 
@@ -21,26 +21,28 @@ def _run_chunk(indices: range) -> list:
     # a worker that has taken a chunk waits until every chunk is taken, so no
     # worker takes two while another idles
     _chunk_barrier.wait()
-    return [_worker_task(i) for i in indices]
+    return _chunk_task(indices)
 
 
-def fork_map(task: Callable, n: int, workers: int) -> list:
-    """[task(0), ..., task(n - 1)], computed by up to min(workers, n) processes.
+def fork_chunks(task: Callable, n: int, workers: int) -> list:
+    """task(range(0, b1)) + task(range(b1, b2)) + ..., the lists that `task`
+    returns for contiguous chunks of range(n), joined in index order; up to
+    min(workers, n) processes compute them.
 
-    The indices are cut into contiguous chunks at `n*w // workers`; this
-    process runs the first chunk and each forked worker one of the rest, and the
-    results are joined in index order, so they do not depend on `workers`
-    when each task is a pure function of its index.  Under `fork` the task
-    is inherited rather than pickled, so it may be a closure; only index
-    ranges and results cross process boundaries.  Where the platform cannot
-    fork, the tasks run serially.  A worker that dies raises
-    `BrokenProcessPool`, a `RuntimeError`.
+    The chunks are cut at `n*w // workers`; this process runs the first and
+    each forked worker one of the rest, so the result does not depend on
+    `workers` when `task` returns, for each index of its chunk, a pure
+    function of that index.  Under `fork` the task is inherited rather than
+    pickled, so it may be a closure; only index ranges and results cross
+    process boundaries.  Where the platform cannot fork, one chunk runs
+    serially.  A worker that dies raises `BrokenProcessPool`, a
+    `RuntimeError`.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     workers = min(workers, n)
     if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return [task(i) for i in range(n)]
+        return task(range(n))
     bounds = [n * w // workers for w in range(workers + 1)]
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(
@@ -53,7 +55,12 @@ def fork_map(task: Callable, n: int, workers: int) -> list:
             pool.submit(_run_chunk, range(bounds[w], bounds[w + 1]))
             for w in range(1, workers)
         ]
-        results = [task(i) for i in range(bounds[1])]
+        results = task(range(bounds[1]))
         for future in futures:
             results.extend(future.result())
     return results
+
+
+def fork_map(task: Callable, n: int, workers: int) -> list:
+    """[task(0), ..., task(n - 1)], with the chunks of `fork_chunks`."""
+    return fork_chunks(lambda indices: [task(i) for i in indices], n, workers)

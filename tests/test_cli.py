@@ -405,15 +405,15 @@ def _worker_dies(monkeypatch):
 
 def _restart_worker_dies(monkeypatch):
     parent = os.getpid()
-    nelder_mead = estimation._nelder_mead
+    steps = estimation._nelder_mead_steps
 
     def dies_in_worker(*args, **kwargs):
         if os.getpid() != parent:
             os._exit(3)
-        return nelder_mead(*args, **kwargs)
+        return steps(*args, **kwargs)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(estimation, "_nelder_mead", dies_in_worker)
+    monkeypatch.setattr(estimation, "_nelder_mead_steps", dies_in_worker)
 
 
 class TestTypedFailures:

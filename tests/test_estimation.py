@@ -241,7 +241,7 @@ class TestFitMad:
     def test_bad_fixed_parameter_fails_before_any_restart(self, family, fixed, error, message,
                                                           monkeypatch):
         s = ct.sample(ct.gpd(0.5, 1.0), 600, seed=3)
-        monkeypatch.setattr(estimation, "_nelder_mead", _no_optimizer_run)
+        monkeypatch.setattr(estimation, "_nelder_mead_steps", _no_optimizer_run)
         with pytest.raises(error, match=message):
             ct.fit_mad(s, family, fixed)
 
@@ -485,9 +485,9 @@ class TestPipeline:
                                lower_config=lower_config)
         rank = rank_range[0] if rank_range else 1
         runs = []
-        nelder_mead = estimation._nelder_mead
-        monkeypatch.setattr(estimation, "_nelder_mead",
-                            lambda *args: runs.append(args) or nelder_mead(*args))
+        steps = estimation._nelder_mead_steps
+        monkeypatch.setattr(estimation, "_nelder_mead_steps",
+                            lambda *args: runs.append(args) or steps(*args))
         with pytest.raises(ValueError, match=(
             rf"^the smallest fitted head observation {s.values[rank - 1]:g} \(rank {rank}\) "
             r"is not above the base's left endpoint 0\.5$"
@@ -526,6 +526,22 @@ class TestRestartWorkers:
         for workers in (2, 3, 7):
             assert _pipeline_outputs(s, plan, workers) == serial, f"workers={workers}"
 
+    @pytest.mark.parametrize("weighting", [Weighting.NORMALIZED, Weighting.UNWEIGHTED])
+    def test_restart_record(self, weighting):
+        s, plan = TestPipeline.small_composite()
+        plan = replace(plan, base_config=MadConfig(weighting=weighting))
+        runs = [ct.fit_pipeline(s, plan, workers=workers) for workers in (1, 2, 3)]
+        for step in ("base_fit", "upper_fit", "lower_fit"):
+            fit = getattr(runs[0], step)
+            assert [getattr(out, step).restarts for out in runs[1:]] == [fit.restarts] * 2
+            assert len(fit.restarts) == fit.config.restarts
+            assert sum(nfev for *_, nfev in fit.restarts) == fit.evaluations
+            direction = -1.0 if fit.config.weighting == Weighting.UNWEIGHTED else 1.0
+            best = min(fit.restarts, key=lambda restart: direction * restart[2])
+            assert best[2] == fit.objective_value and best[1] == fit.theta
+            assert all(list(start) == list(fit.theta) for start, *_ in fit.restarts)
+            assert "restarts" not in fit.as_dict()
+
     def test_full_recovery_model_is_reproduced_on_two_workers(self):
         s, plan = full_recovery_inputs()
         assert ct.model_to_json(ct.fit_pipeline(s, plan, workers=2).model) == (
@@ -534,8 +550,11 @@ class TestRestartWorkers:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_every_restart_penalised(self, workers, monkeypatch):
+        objective = estimation.mad_objective
+
         def out_of_domain(sample, model, config):
-            raise LogDomainError(1)
+            # every candidate's CDF is 1 at every fitted observation
+            return objective(sample, lambda x: np.ones(np.shape(model(x))), config)
 
         monkeypatch.setattr(estimation, "mad_objective", out_of_domain)
         s = ct.sample(ct.gpd(0.5, 1.0), 200, seed=0)
@@ -545,14 +564,14 @@ class TestRestartWorkers:
 
     def test_dead_worker_raises(self, monkeypatch):
         parent = os.getpid()
-        nelder_mead = estimation._nelder_mead
+        steps = estimation._nelder_mead_steps
 
         def dies_in_worker(*args, **kwargs):
             if os.getpid() != parent:
                 os._exit(3)
-            return nelder_mead(*args, **kwargs)
+            return steps(*args, **kwargs)
 
-        monkeypatch.setattr(estimation, "_nelder_mead", dies_in_worker)
+        monkeypatch.setattr(estimation, "_nelder_mead_steps", dies_in_worker)
         s = ct.sample(ct.gpd(0.5, 1.0), 200, seed=0)
         with pytest.raises(BrokenProcessPool):
             ct.fit_mad(s, ct.Family.GPD, workers=2)

@@ -1,5 +1,6 @@
 """`estimation._nelder_mead` reproduces scipy's adaptive, bounded Nelder-Mead:
-`fun`, `x` and `nfev` agree bit for bit."""
+`fun`, `x` and `nfev` agree bit for bit.  Runs driven in lockstep give each
+run the result it gets alone."""
 
 import math
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from claimtails.estimation import _nelder_mead
+from claimtails.estimation import _lockstep, _nelder_mead, _nelder_mead_steps
 
 INF = math.inf
 
@@ -133,3 +134,60 @@ def test_budget_cut_inside_an_iteration_matches_scipy(fn, x0, maxfev):
 def test_every_budget_matches_scipy(fn, x0):
     for maxfev in range(1, 60):
         assert_same_run(fn, x0, maxfev=maxfev)
+
+
+def labelled(j, steps):
+    """`steps`, with each vertex yielded as (j, vertex)."""
+    value = None
+    try:
+        while True:
+            value = yield j, steps.send(value)
+    except StopIteration as stop:
+        return stop.value
+
+
+def run_lockstep(problems):
+    """Each (fn, x0, lb, ub, maxfev) in `problems` as one run of a lockstep
+    drive; returns the runs' results and the run indices of each round."""
+    rounds = []
+
+    def evaluate(vertices):
+        rounds.append([j for j, _ in vertices])
+        return [problems[j][0](x) for j, x in vertices]
+
+    runs = [labelled(j, _nelder_mead_steps(list(x0), lb, ub, 1e-8, 1e-8, maxfev))
+            for j, (_, x0, lb, ub, maxfev) in enumerate(problems)]
+    return _lockstep(evaluate, runs), rounds
+
+
+def assert_each_run_as_alone(problems):
+    results, rounds = run_lockstep(problems)
+    for (fn, x0, lb, ub, maxfev), (fun, x, nfev) in zip(problems, results):
+        want_fun, want_x, want_nfev = _nelder_mead(fn, list(x0), lb, ub, 1e-8, 1e-8, maxfev)
+        assert nfev == want_nfev
+        assert np.float64(fun).tobytes() == np.float64(want_fun).tobytes(), (fun, want_fun)
+        assert np.array(x, dtype=float).tobytes() == np.array(want_x).tobytes(), (x, want_x)
+    # each round holds every run still going, in run order, one vertex each
+    for before, after in zip(rounds, rounds[1:]):
+        assert after == sorted(after) and set(after) <= set(before)
+    assert sum(map(len, rounds)) == sum(nfev for _, _, nfev in results)
+    return results, rounds
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(quadratics(), st.integers(1, 120)), min_size=2, max_size=5))
+def test_lockstep_runs_match_runs_alone(drawn):
+    assert_each_run_as_alone([(*problem, maxfev) for problem, maxfev in drawn])
+
+
+def test_runs_leave_the_lockstep_at_different_rounds():
+    problems = [
+        (rosenbrock, [-1.2, 1.0], [-INF] * 2, [INF] * 2, 5000),
+        (plateau, [0.9, 0.5, 0.3], [-INF] * 3, [INF] * 3, 7),  # cut inside a shrink
+        (rosenbrock, [0.0, 1.5, 0.0], [-2.0, -INF, 0.5], [INF] * 3, 5000),
+        (nan_region, [-0.48, 0.0], [-INF] * 2, [INF] * 2, 3),
+        (rosenbrock, [0.5, 0.8], [-2.0, -2.0], [0.5, 0.8], 0),  # no evaluation at all
+    ]
+    results, rounds = assert_each_run_as_alone(problems)
+    assert [nfev for _, _, nfev in results][1:4:2] == [7, 3] and results[4][2] == 0
+    assert rounds[0] == [0, 1, 2, 3] and len(set(map(len, rounds))) >= 3
