@@ -34,9 +34,11 @@ class Kernel:
     `survival(x, *p)`, `density(x, *p)`, `quantile(q, *p)` with q = 1 - probability,
     the endpoints `left(*p)` and `right(*p)`, and `requires`: (predicate, requirement)
     pairs.  `start(values, fixed)` seeds a minimum-AD fit (None: no fitting
-    support); `fixed` is what a fit holds constant unless told otherwise.  The
-    survival of a family with fitting support also takes (k, 1) parameter
-    columns, one candidate per row (see `_power`).
+    support); `fixed` is what a fit holds constant unless told otherwise.  A
+    family with fitting support also has `dlog_survival(x, *p)`, the tuple of
+    the partial derivatives of log S(x) by each parameter, in `names` order.
+    Its survival and dlog_survival also take (k, 1) parameter columns, one
+    candidate per row (see `_power`).
     """
 
     names: tuple
@@ -46,6 +48,7 @@ class Kernel:
     density: Callable
     quantile: Callable
     start: Optional[Callable] = None
+    dlog_survival: Optional[Callable] = None
     right: Callable = lambda *p: np.inf
     fixed: dict = field(default_factory=dict)
 
@@ -54,6 +57,12 @@ def _pareto_start(v, fixed):
     sigma = fixed.get("sigma", float(v[0]) * 0.999)
     logs = np.log(np.maximum(v / sigma, 1.0 + 1e-12))
     return {"alpha": 1.0 / max(float(np.mean(logs)), 1e-6), "sigma": sigma}
+
+
+def _pareto_dlog_survival(xv, alpha, sigma):
+    # a tiny sigma makes sigma/x underflow to 0 and alpha/sigma overflow, where S is 0
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.log(sigma / np.maximum(xv, sigma)), np.where(xv < sigma, 0.0, alpha / sigma)
 
 
 def _power(base, exponent):
@@ -88,6 +97,33 @@ def _gpd_survival(xv, gamma, sigma, loc):
     return np.where(exponential, np.exp(-z / sigma), s) if rows and exponential.any() else s
 
 
+# h(u) = (log1p(u) - u/(1+u)) / u**2 = sum over j >= 2 of (-1)**j (j-1)/j u**(j-2),
+# to the u**7 term: below |u| = 1e-2 it is exact to rounding, and the closed
+# form, which cancels as u -> 0, has lost at most ~1e-13 relative there
+_H_SERIES = tuple((-1) ** j * (j - 1) / j for j in range(9, 1, -1))
+
+
+def _gpd_dlog_survival(xv, gamma, sigma, loc):
+    # log S = -log1p(u)/gamma with u = gamma*r, r = z/sigma: by gamma it is
+    # log1p(u)/gamma**2 - r/(gamma*(1+u)) = r**2 h(u), finite through gamma = 0;
+    # by sigma r/(sigma*(1+u)), by loc 1/(sigma*(1+u)) above loc
+    r = np.maximum(xv - loc, 0.0) / sigma
+    u = gamma * r
+    # 1 + u <= 0 lies beyond a negative shape's endpoint, where S = 0; u*u
+    # underflows to 0 where the series takes over, and the series overflows
+    # where the closed form holds
+    small = (u < 1e-2) & (u > -1e-2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        h = (np.log1p(u) - u / (u + 1.0)) / (u * u)
+        if small.any():
+            hs = _H_SERIES[0]
+            for c in _H_SERIES[1:]:
+                hs = hs * u + c
+            h = np.where(small, hs, h)
+        t = 1.0 / ((u + 1.0) * sigma)
+    return h * r * r, r * t, np.where(r > 0.0, t, 0.0)
+
+
 def _gpd_density(xv, gamma, sigma, loc):
     z = xv - loc
     if gamma == 0.0:
@@ -102,6 +138,24 @@ def _gpd_quantile(q, gamma, sigma, loc):
     if gamma == 0.0:
         return loc - sigma * np.log(q)
     return loc + sigma * (np.power(q, -gamma) - 1.0) / gamma
+
+
+def _weibull_survival(xv, shift, sigma, beta):
+    # y**beta overflows to inf far beyond sigma, where S is 0
+    with np.errstate(over="ignore"):
+        return np.exp(-_power(np.maximum(xv - shift, 0.0) / sigma, beta))
+
+
+def _weibull_dlog_survival(xv, shift, sigma, beta):
+    # log S = -y**beta with y = (x - shift)/sigma; at y = 0 every derivative is
+    # 0 (beta > 0), where y**beta * log y is 0 * -inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        y = np.maximum(xv - shift, 0.0) / sigma
+        u = _power(y, beta)
+        d_sigma = beta * u / sigma
+        inside = y > 0.0
+        return (np.where(inside, d_sigma / y, 0.0), d_sigma,
+                np.where(inside, -u * np.log(y), 0.0))
 
 
 def _weibull_density(xv, shift, sigma, beta):
@@ -179,6 +233,7 @@ KERNELS = {
         ),
         quantile=lambda q, alpha, sigma: sigma * np.power(q, -1.0 / alpha),
         start=_pareto_start,
+        dlog_survival=_pareto_dlog_survival,
     ),
     Family.GPD: Kernel(
         names=("gamma", "sigma", "loc"),
@@ -192,6 +247,7 @@ KERNELS = {
         density=_gpd_density,
         quantile=_gpd_quantile,
         start=lambda v, fixed: {"gamma": 0.5, "sigma": max(float(np.median(v - fixed["loc"])), 1e-12)},
+        dlog_survival=_gpd_dlog_survival,
         # the location is a known threshold, never a fitted quantity
         fixed={"loc": 0.0},
     ),
@@ -203,18 +259,18 @@ KERNELS = {
         density=lambda xv, sigma: np.where(xv < 0, 0.0, np.exp(-np.maximum(xv, 0.0) / sigma) / sigma),
         quantile=lambda q, sigma: -sigma * np.log(q),
         start=lambda v, fixed: {"sigma": float(np.mean(v))},
+        dlog_survival=lambda xv, sigma: (np.maximum(xv, 0.0) / (sigma * sigma),),
     ),
     Family.SHIFTED_WEIBULL: Kernel(
         names=("shift", "sigma", "beta"),
         requires=((lambda shift, sigma, beta: shift >= 0 and sigma > 0 and beta > 0,
                    "shifted Weibull needs shift>=0, sigma>0, beta>0"),),
         left=lambda shift, sigma, beta: shift,
-        survival=lambda xv, shift, sigma, beta: np.exp(
-            -_power(np.maximum(xv - shift, 0.0) / sigma, beta)
-        ),
+        survival=_weibull_survival,
         density=_weibull_density,
         quantile=lambda q, shift, sigma, beta: shift + sigma * np.power(-np.log(q), 1.0 / beta),
         start=_weibull_start,
+        dlog_survival=_weibull_dlog_survival,
     ),
     Family.STEPPED_PARETO: Kernel(
         names=("alpha1", "alpha2", "sigma1", "sigma2", "sigma3"),

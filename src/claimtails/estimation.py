@@ -1,10 +1,11 @@
 """Parameter estimation: Anderson-Darling distance, its rank-weighted
-variants with subrange support, derivative-free fitting, the Hill and
+variants with subrange support, gradient-based fitting, the Hill and
 normalized-spacings tail estimators, and the three-step composite pipeline.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -76,7 +77,8 @@ class MadConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """A fit step's estimate.  `restarts` holds, in restart order, each
+    """A fit step's estimate.  `evaluations` counts value-and-gradient
+    evaluations.  `restarts` holds, in restart order, each
     optimizer restart's (start, end, objective value, evaluations): start
     and end map the free parameters to natural values, like `theta`, and
     the value has the sign of `objective_value` (a restart that ended in
@@ -106,26 +108,29 @@ def _degenerate(f: np.ndarray) -> np.ndarray:
     return (f <= 0.0) | (f >= 1.0)
 
 
-def _cdf_values(values: np.ndarray, model, first_rank: int = 1) -> np.ndarray:
-    """Model CDF at `values`, the order statistics of ranks first_rank, ...;
-    raises LogDomainError with the rank of the first value where it is 0 or 1.
-    A (k, m) result, one candidate per row, is returned unchecked."""
+def _cdf_values(values: np.ndarray, model, first_rank: int = 1) -> tuple:
+    """Model CDF at `values`, the order statistics of ranks first_rank, ...,
+    and its partial derivatives (None unless the model returns them); raises
+    LogDomainError with the rank of the first value where the CDF is 0 or 1.
+    A (k, m) CDF, one candidate per row, is returned unchecked."""
     if isinstance(model, DistributionSpec):
         f = np.asarray(cdf(model, values))
     elif isinstance(model, AdjustedModel):
         f = np.asarray(adjusted_cdf(model, values))
     else:
         f = np.asarray(model(values))
+    if f.ndim == 3:
+        return f[0], f[1:]
     if f.ndim == 1:
         bad = np.nonzero(_degenerate(f))[0]
         if bad.size:
             raise LogDomainError(int(bad[0]) + first_rank)
-    return f
+    return f, None
 
 
 def ad_statistic(sample: OrderedSample, model) -> float:
     """Anderson-Darling statistic with the standard 1/n normalization."""
-    f = _cdf_values(sample.values, model)
+    f, _ = _cdf_values(sample.values, model)
     n = sample.n
     i = np.arange(1, n + 1)
     s = np.sum((2 * i - 1) * np.log(f) + (2 * (n - i) + 1) * np.log1p(-f))
@@ -161,7 +166,7 @@ def _rank_terms(n: int, i_lo: int, i_hi: int, weighting: Weighting) -> tuple:
     return terms
 
 
-def mad_objective(sample: OrderedSample, model, config: MadConfig) -> float | np.ndarray:
+def mad_objective(sample: OrderedSample, model, config: MadConfig) -> float | np.ndarray | tuple:
     """Fit objective over the configured rank range.
 
     Unweighted mode is the Bernoulli mixed likelihood (to be maximized);
@@ -174,23 +179,40 @@ def mad_objective(sample: OrderedSample, model, config: MadConfig) -> float | np
     in its rows.  The value is then an array of the k candidates' values,
     each bit for bit the one a candidate gets alone, with inf in each row
     where the CDF is 0 or 1 (where one candidate raises LogDomainError).
+
+    A model that returns a (1 + d, k, m) array, the CDFs F stacked on their
+    partial derivatives by d parameters, gets (values, gradients) back: the
+    gradient of a candidate's value, sum w (a/F - b/(1-F)) dF, is a row of
+    the (k, d) array, again bit for bit the one it gets alone.
     """
     n = sample.n
     i_lo, i_hi = config.resolve_ranks(n)
-    f = _cdf_values(sample.values[i_lo - 1 : i_hi], model, i_lo)
+    f, df = _cdf_values(sample.values[i_lo - 1 : i_hi], model, i_lo)
     a, b, w = _rank_terms(n, i_lo, i_hi, config.weighting)
     degenerate = None
     if f.ndim == 2 and not (f.min() > 0.0 and f.max() < 1.0):  # NaN comes here too
         # keep the rows that reach 0 or 1 out of the logs, which would warn on them
         degenerate = _degenerate(f).any(axis=1)
         f = np.where(degenerate[:, None], 0.5, f)
+        if df is not None:
+            df = np.where(degenerate[:, None], 0.0, df)
     s = a * np.log(f) + b * np.log1p(-f)
     value = s.sum(axis=-1) / n if w is None else (w * s).sum(axis=-1)
     if f.ndim == 1:
         return float(value)
     if degenerate is not None:
         value[degenerate] = math.inf
-    return value
+    if df is None:
+        return value
+    # the gradient, sum of w (a/F - b/(1-F)) dF; by a parameter far outside
+    # the fitted range (a Pareto scale of 1e-309, say) it can overflow, and
+    # an infinite or NaN gradient is left for the caller to refuse
+    r = a / f - b / (1.0 - f)
+    if w is not None:
+        r = w * r
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = np.array([(r * d).sum(axis=-1) for d in df])
+    return value, (grad.T / n if w is None else grad.T)
 
 
 def _objective_direction(weighting: Weighting) -> float:
@@ -199,14 +221,16 @@ def _objective_direction(weighting: Weighting) -> float:
 
 
 # ---------------------------------------------------------------------------
-# derivative-free fitting
+# gradient-based fitting
 
 _LOG_PARAMS = {"alpha", "sigma", "beta", "sigma1", "sigma2", "sigma3"}
 
 
 def _transform(name: str):
+    """(forward, inverse, slope) of a parameter's transform: the optimizer's
+    coordinate t of a natural value v, v of t, and dv/dt in terms of v."""
     if name in _LOG_PARAMS:
-        return np.log, np.exp
+        return np.log, np.exp, lambda v: v
     if name == "p_upper":
         def logit(p):
             p = min(max(p, 1e-9), 1 - 1e-9)
@@ -215,8 +239,8 @@ def _transform(name: str):
         def expit(t):
             return 1.0 / (1.0 + np.exp(-t))
 
-        return logit, expit
-    return (lambda v: v), (lambda v: v)
+        return logit, expit, lambda p: p * (1.0 - p)
+    return (lambda v: v), (lambda v: v), lambda v: 1.0
 
 
 _PENALTY = 1e12
@@ -226,123 +250,106 @@ _PENALTY = 1e12
 _BATCH_ELEMENTS = 2**15
 
 
-class _BudgetSpent(Exception):
-    """The optimizer's evaluation budget is spent."""
+def _bfgs_steps(x0: list, lb: list, ub: list, xtol: float, maxfev: int) -> Generator:
+    """Minimize over the box [lb, ub] from `x0` by projected BFGS: yields each
+    point to evaluate, as a list of floats, takes back its (value, gradient)
+    by `send`, and returns (fun, x, nfev).  A penalised point sends
+    (`_PENALTY`, None).
 
-
-def _clip(v: float, lo: float, hi: float) -> float:
-    # np.clip's rule: NaN passes through, and a value equal to a bound gives the bound
-    v = v if (v > lo or v != v) else lo
-    return v if (v < hi or v != v) else hi
-
-
-def _sort_vertices(sim: list, fsim: list) -> tuple:
-    # numpy's argsort, not sorted(): its order of tied values is the one to reproduce
-    order = np.array(fsim).argsort().tolist()
-    return [sim[i] for i in order], [fsim[i] for i in order]
-
-
-def _nelder_mead_steps(
-    x0: list, lb: list, ub: list, xatol: float, fatol: float, maxfev: int
-) -> Generator:
-    """Minimize over the box [lb, ub] from `x0`: yields each vertex to
-    evaluate, as a list of floats, takes its value by `send`, and returns
-    (fun, x, nfev).
-
-    This is the adaptive Nelder-Mead of Gao & Han (2012) with clipped
-    vertices, as `scipy.optimize.minimize(method="Nelder-Mead", bounds=...,
-    options={"xatol", "fatol", "maxfev", "adaptive": True})` runs it, step
-    for step on Python floats, so all three outputs equal scipy's bit for bit.
-    Infinite bounds clip nothing.
+    Each iteration steps along -H g, with H the inverse-Hessian estimate, and
+    halves the step until the Armijo condition holds (c1 = 1e-4), clipping
+    each trial point to the box; a penalised or non-finite point fails it.
+    A coordinate on a bound whose gradient points out of the box is held for
+    the iteration.  Every step is scaled to infinity-norm at most 1.  Until
+    the first update H is the identity; after the first accepted step H is
+    (s'y / y'y) I, and each accepted step with enough curvature
+    (s'y > 1e-12 |s| |y|) updates it, leaving out the coordinates it left
+    on a bound.  A run stops when a step of infinity-norm at most `xtol`
+    lowers the value by at most `xtol` max(1, |f|) or is refused, when a
+    step leaves the value unchanged, when the projected gradient is 0, or
+    when `maxfev` evaluations are spent.  A penalised start ends the run.
     """
-    n = len(x0)
-    dim = float(n)
-    rho, chi, psi, sigma = 1, 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
     box = list(zip(lb, ub))
 
     def clip(x: list) -> list:
-        return [_clip(v, lo, hi) for v, (lo, hi) in zip(x, box)]
+        return [min(max(v, lo), hi) for v, (lo, hi) in zip(x, box)]
 
-    nfev = 0
+    def dot(u: list, v: list) -> float:
+        return sum(a * b for a, b in zip(u, v))
 
-    def spend(x: list) -> list:
-        # the vertex to yield, once the budget allows one more evaluation
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _BudgetSpent
-        nfev += 1
-        return x
-
-    # initial simplex: each coordinate in turn 5 % larger (0.00025 where it is
-    # 0); a vertex above its upper bound is reflected into the box, then clipped
-    x0 = clip(x0)
-    sim = [x0]
-    for k in range(n):
-        y = list(x0)
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim.append(y)
-    sim = [clip([2 * hi - v if v > hi else v for v, (_, hi) in zip(y, box)]) for y in sim]
-    fsim = [np.inf] * (n + 1)
-    try:
-        for k in range(n + 1):
-            fsim[k] = float((yield spend(sim[k])))
-    except _BudgetSpent:
-        pass
-    sim, fsim = _sort_vertices(sim, fsim)
-    sim, fsim = _sort_vertices(sim, fsim)
-
+    x = clip(x0)
+    if maxfev < 1:
+        return math.inf, x, 0
+    f, g = yield x
+    nfev = 1
+    if not _usable(g):
+        return f, x, nfev
+    h = None  # the inverse-Hessian estimate; None while it is the identity
     while nfev < maxfev:
-        try:
-            best, worst = sim[0], sim[-1]
-            if all(abs(v - b) <= xatol for y in sim[1:] for v, b in zip(y, best)) and all(
-                abs(fsim[0] - fy) <= fatol for fy in fsim[1:]
-            ):
+        held = [(v <= lo and d > 0.0) or (v >= hi and d < 0.0)
+                for v, d, (lo, hi) in zip(x, g, box)]
+        gf = [0.0 if k else d for d, k in zip(g, held)]  # the projected gradient
+        if not any(gf):
+            break
+        p = [-d for d in gf] if h is None else [0.0 if k else -dot(row, gf)
+                                                for row, k in zip(h, held)]
+        # a step that the box would clip at once moves nothing
+        p = [0.0 if (v <= lo and q < 0.0) or (v >= hi and q > 0.0) else q
+             for v, q, (lo, hi) in zip(x, p, box)]
+        if not dot(g, p) < 0.0:  # H has lost its definiteness to rounding
+            h, p = None, [-d for d in gf]
+        # at most a factor e in a scale per step: along a flat direction H
+        # grows without bound, and an unscaled step leaves the float range
+        p = [q / max(1.0, max(map(abs, p))) for q in p]
+        t = 1.0
+        while True:
+            xt = clip([v + t * q for v, q in zip(x, p)])
+            s = [a - b for a, b in zip(xt, x)]
+            ft, gt = yield xt
+            nfev += 1
+            # a clipped step can turn uphill, so the value must not rise either
+            if _usable(gt) and ft <= min(f, f + 1e-4 * dot(g, s)):
                 break
-            xbar = [0.0] * n
-            for y in sim[:-1]:
-                xbar = [c + v for c, v in zip(xbar, y)]
-            xbar = [c / n for c in xbar]
-            xr = clip([(1 + rho) * c - rho * w for c, w in zip(xbar, worst)])
-            fxr = float((yield spend(xr)))
-            if fxr < fsim[0]:
-                xe = clip([(1 + rho * chi) * c - rho * chi * w for c, w in zip(xbar, worst)])
-                fxe = float((yield spend(xe)))
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                if fxr < fsim[-1]:  # outside contraction
-                    xc = clip([(1 + psi * rho) * c - psi * rho * w for c, w in zip(xbar, worst)])
-                    fxc = float((yield spend(xc)))
-                    shrink = not fxc <= fxr
-                    if not shrink:
-                        sim[-1], fsim[-1] = xc, fxc
-                else:  # inside contraction
-                    xcc = clip([(1 - psi) * c + psi * w for c, w in zip(xbar, worst)])
-                    fxcc = float((yield spend(xcc)))
-                    shrink = not fxcc < fsim[-1]
-                    if not shrink:
-                        sim[-1], fsim[-1] = xcc, fxcc
-                if shrink:
-                    for j in range(1, n + 1):
-                        sim[j] = clip([b + sigma * (v - b) for v, b in zip(sim[j], best)])
-                        fsim[j] = float((yield spend(sim[j])))
-        except _BudgetSpent:
-            pass
-        sim, fsim = _sort_vertices(sim, fsim)
-    return np.min(fsim), sim[0], nfev
+            if max(map(abs, s)) <= xtol or nfev >= maxfev:
+                return f, x, nfev
+            t *= 0.5
+        # a coordinate the step left on its bound tells nothing of the curvature
+        y = [a - b if si else 0.0 for a, b, si in zip(gt, g, s)]
+        decrease = f - ft
+        x, f, g = xt, ft, gt
+        # no decrease at all: the value is flat to rounding along the step
+        if decrease <= 0.0 or (max(map(abs, s)) <= xtol and decrease <= xtol * max(1.0, abs(f))):
+            break
+        sy = dot(s, y)
+        if sy > 1e-12 * math.sqrt(dot(s, s) * dot(y, y)):
+            if h is None:
+                h = [[sy / dot(y, y) if i == j else 0.0 for j in range(len(x))]
+                     for i in range(len(x))]
+            # H <- (I - rho s y') H (I - rho y s') + rho s s', with rho = 1/s'y
+            hy = [dot(row, y) for row in h]
+            c = (1.0 + dot(y, hy) / sy) / sy
+            h = [[hij - (si * hyj + hyi * sj) / sy + c * si * sj
+                  for hij, hyj, sj in zip(row, hy, s)]
+                 for row, hyi, si in zip(h, hy, s)]
+    return f, x, nfev
+
+
+def _usable(gradient) -> bool:
+    """Whether a point's gradient exists and is finite (not penalised)."""
+    return gradient is not None and all(map(math.isfinite, gradient))
 
 
 def _lockstep(evaluate: Callable, runs: list) -> list:
-    """Drive the `_nelder_mead_steps` generators `runs` together; returns
-    their (fun, x, nfev), in run order.
+    """Drive the `_bfgs_steps` generators `runs` together; returns their
+    (fun, x, nfev), in run order.
 
-    Each round, `evaluate` gets the pending vertex of every run still going,
-    in run order, and returns their values in that order.  A run's steps do
-    not depend on the others, so each result is the one the run gives alone.
+    Each round, `evaluate` gets the pending point of every run still going,
+    in run order, and returns their (value, gradient) in that order.  A run's
+    steps do not depend on the others, so each result is the one the run
+    gives alone.
     """
     results = [None] * len(runs)
-    pending = {}  # run index -> the vertex it waits on; kept in run order
+    pending = {}  # run index -> the point it waits on; kept in run order
 
     def advance(j: int, value) -> None:
         try:
@@ -359,23 +366,17 @@ def _lockstep(evaluate: Callable, runs: list) -> list:
     return results
 
 
-def _nelder_mead(
-    fn: Callable, x0: list, lb: list, ub: list, xatol: float, fatol: float, maxfev: int
-) -> tuple:
-    """Minimize `fn`, which gets each vertex as a list of floats, over the box
-    [lb, ub] from `x0`; returns (fun, x, nfev) of `_nelder_mead_steps`."""
-    steps = _nelder_mead_steps(x0, lb, ub, xatol, fatol, maxfev)
-    return _lockstep(lambda vertices: [fn(x) for x in vertices], [steps])[0]
-
-
 def _minimize_restarts(
-    evaluate: Callable, x0: np.ndarray, lb: list, ub: list, config: MadConfig, workers: int = 1
+    evaluate: Callable, x0: np.ndarray, lb: list, ub: list, config: MadConfig, workers: int = 1,
+    extra: Sequence = (),
 ) -> tuple:
-    """Nelder-Mead with deterministic perturbed restarts in transformed space.
+    """Projected BFGS with deterministic perturbed restarts in transformed space,
+    then one restart from each point of `extra`.
 
     Up to `workers` processes share the restarts in contiguous chunks (see
     `fork_chunks`), and each runs its chunk in lockstep: `evaluate` gets a
-    list of vertices, one per restart still going, and returns their values.
+    list of points, one per restart still going, and returns their (value,
+    gradient) pairs.
     Returns (best_x, best_f, converged, total_evals, runs), where `runs`
     holds each restart's (start, fun, x, nfev), in restart order.
     """
@@ -383,12 +384,12 @@ def _minimize_restarts(
     offsets = [np.zeros_like(x0)] + [
         0.35 * rng.standard_normal(x0.size) for _ in range(config.restarts - 1)
     ]
-    starts = [np.clip(x0 + offset, lb, ub).tolist() for offset in offsets]
+    points = [x0 + offset for offset in offsets] + list(extra)
+    starts = [np.clip(x, lb, ub).tolist() for x in points]
 
     def chunk(indices: range) -> list:
         return _lockstep(evaluate, [
-            _nelder_mead_steps(starts[j], lb, ub, config.xtol, config.xtol, config.max_evals)
-            for j in indices
+            _bfgs_steps(starts[j], lb, ub, config.xtol, config.max_evals) for j in indices
         ])
 
     runs = [(start, *run) for start, run in zip(starts, fork_chunks(chunk, len(starts), workers))]
@@ -411,22 +412,26 @@ def _batch_objective(
     sample: OrderedSample, params_of: Callable, cdf_of: Callable, config: MadConfig
 ) -> Callable:
     """The fit's objective of a list of candidates, each a list of natural
-    values of the free parameters: a list of floats, minimized.
+    values of the free parameters: a list of (value, gradient) pairs, the
+    value minimized and the gradient a list of its partial derivatives by
+    the free parameters.
 
     `params_of(*theta)` maps one candidate to the tuple of floats its CDF
     takes, and raises ValueError outside the model's domain; such a
     candidate, and one whose CDF is 0 or 1 at a fitted observation, gets
-    `_PENALTY`.  `cdf_of(*columns)` takes those parameters as (k, 1) columns
-    of k candidates and returns the CDF callable, with a (k, m) result.  The
-    others go to `mad_objective` in batches of at most `_BATCH_ELEMENTS`
-    elements (one candidate where the fitted ranks alone are more).
+    (`_PENALTY`, None).  `cdf_of(*columns)` takes those parameters as (k, 1)
+    columns of k candidates and returns the model callable, with a
+    (1 + d, k, m) result: the CDFs, then their partial derivatives by the d
+    free parameters.  The others go to `mad_objective` in batches of at most
+    `_BATCH_ELEMENTS` CDF elements (one candidate where the fitted ranks
+    alone are more).
     """
     direction = _objective_direction(config.weighting)
     i_lo, i_hi = config.resolve_ranks(sample.n)
     per_call = max(1, _BATCH_ELEMENTS // (i_hi - i_lo + 1))
 
     def objective(candidates: list) -> list:
-        values = [_PENALTY] * len(candidates)
+        results = [(_PENALTY, None)] * len(candidates)
         rows, at = [], []
         for j, theta in enumerate(candidates):
             try:
@@ -436,12 +441,21 @@ def _batch_objective(
             at.append(j)
         for lo in range(0, len(rows), per_call):
             columns = np.array(rows[lo : lo + per_call]).T[:, :, None]
-            batch = mad_objective(sample, cdf_of(*columns), config).tolist()
-            for j, v in zip(at[lo : lo + per_call], batch):
-                values[j] = _PENALTY if v == math.inf else direction * v
-        return values
+            values, grads = mad_objective(sample, cdf_of(*columns), config)
+            for j, v, g in zip(at[lo : lo + per_call], values.tolist(), grads.tolist()):
+                if v != math.inf:
+                    results[j] = (direction * v, [direction * d for d in g])
+        return results
 
     return objective
+
+
+def _times_survival(s: np.ndarray, dlog: np.ndarray) -> np.ndarray:
+    """dS = S dlog S, with its limit 0 where S underflows to 0 (there dlog S
+    may be infinite)."""
+    with np.errstate(invalid="ignore"):
+        ds = s * dlog
+    return np.where(s == 0.0, 0.0, ds) if not s.all() else ds
 
 
 def _family_candidates(family: Family, fixed: dict, free: Sequence[str]) -> tuple:
@@ -450,6 +464,7 @@ def _family_candidates(family: Family, fixed: dict, free: Sequence[str]) -> tupl
     kernel = KERNELS[family]
     # held parameters enter the kernel as floats, so only the free ones broadcast
     held = {i: float(fixed[nm]) for i, nm in enumerate(kernel.names) if nm in fixed}
+    at = [kernel.names.index(nm) for nm in free]
 
     def params_of(*theta: float) -> tuple:
         merged = {**fixed, **dict(zip(free, theta))}
@@ -459,7 +474,13 @@ def _family_candidates(family: Family, fixed: dict, free: Sequence[str]) -> tupl
 
     def cdf_of(*params) -> Callable:
         params = [held.get(i, p) for i, p in enumerate(params)]
-        return lambda x: 1.0 - kernel.survival(x, *params)
+
+        def model(x):
+            s = kernel.survival(x, *params)
+            dlog = kernel.dlog_survival(x, *params)
+            return np.stack([1.0 - s] + [-_times_survival(s, dlog[i]) for i in at])
+
+        return model
 
     return params_of, cdf_of
 
@@ -470,7 +491,8 @@ def _tail_candidates(x_upper: float, s_tail: np.ndarray, s_at: float) -> tuple:
     `s_tail` on the fitted tail and `s_at` at x_upper, mixed with a shifted
     Weibull adjuster at x_upper."""
     shift = float(x_upper)
-    survival_ = KERNELS[Family.SHIFTED_WEIBULL].survival
+    kernel = KERNELS[Family.SHIFTED_WEIBULL]
+    c = s_tail / s_at
 
     def params_of(p: float, beta: float, sigma: float) -> tuple:
         _check_p_upper(p)
@@ -478,16 +500,84 @@ def _tail_candidates(x_upper: float, s_tail: np.ndarray, s_at: float) -> tuple:
         return p, sigma, beta
 
     def cdf_of(p, sigma, beta) -> Callable:
-        return lambda x: _tail_cdf(p, survival_(x, shift, sigma, beta), s_tail, s_at)
+        def model(x):
+            # F = 1 - c (p S_a + 1 - p), with c = S_b / S_b(x_upper)
+            s_a = kernel.survival(x, shift, sigma, beta)
+            _, d_sigma, d_beta = kernel.dlog_survival(x, shift, sigma, beta)
+            f = _tail_cdf(p, s_a, s_tail, s_at)
+            return np.stack([f, c * (1.0 - s_a), -c * p * _times_survival(s_a, d_beta),
+                             -c * p * _times_survival(s_a, d_sigma)])
+
+        return model
 
     return params_of, cdf_of
+
+
+# the upper step's scan grid: p_upper, the adjuster's beta, and at most
+# _SCAN_POINTS fitted tail points, between which the sigmas lie; the scan
+# adds _SCAN_STARTS restarts
+_SCAN_P = (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
+_SCAN_BETA = tuple(0.5 * 2.0**j for j in range(8))
+_SCAN_POINTS = 64
+_SCAN_STARTS = 2
+
+
+def _tail_scan(x_upper: float, values: np.ndarray, s_tail: np.ndarray, s_at: float,
+               config: MadConfig) -> list:
+    """Starts for the upper step besides its perturbed ones: the
+    `_SCAN_STARTS` lowest local minima of its objective on a grid, as
+    (p_upper, beta, sigma) lists, lowest first.
+
+    A steep adjuster (large beta) places its mass between two tail points,
+    so the objective has a basin for each gap, and one near sigma -> 0 with a
+    small p_upper; a local search finds the basin it starts in.  So the grid
+    puts sigma between each two neighbours of at most `_SCAN_POINTS` evenly
+    spaced order statistics of the fitted tail `values` (and at twice the
+    largest excess), and the objective is that of those points.  A grid
+    point is a local minimum when no neighbour on the grid is lower.
+    """
+    kernel = KERNELS[Family.SHIFTED_WEIBULL]
+    keep = np.unique(np.linspace(0, values.size - 1, _SCAN_POINTS).round().astype(int))
+    # the upper step's label: its objective calls, the scan's among them,
+    # are told apart from the other steps' by it
+    points = OrderedSample.from_values(values[keep], label="upper tail")
+    s_points = s_tail[keep]
+    excess = points.values - x_upper
+    sigmas = np.append(np.sqrt(excess[1:] * excess[:-1]), 2.0 * excess[-1])
+    beta = np.repeat(_SCAN_BETA, sigmas.size)[:, None]
+    sigma = np.tile(sigmas, len(_SCAN_BETA))[:, None]
+    p = np.array(_SCAN_P)[:, None, None]
+    scan_config = replace(config, rank_range=None)
+    per_call = max(1, _BATCH_ELEMENTS // (p.size * points.n))
+    blocks = []
+    for lo in range(0, beta.shape[0], per_call):
+        b, sg = beta[lo : lo + per_call], sigma[lo : lo + per_call]
+
+        def model(x):
+            f = _tail_cdf(p, kernel.survival(x, x_upper, sg, b), s_points, s_at)
+            return f.reshape(-1, x.size)
+
+        blocks.append(mad_objective(points, model, scan_config).reshape(p.size, -1))
+    v = np.concatenate(blocks, axis=1)
+    grid = np.where(np.isfinite(v), _objective_direction(config.weighting) * v, np.inf)
+    grid = grid.reshape(p.size, len(_SCAN_BETA), sigmas.size)
+    padded = np.pad(grid, 1, constant_values=np.inf)
+    lowest = np.isfinite(grid)
+    for shift in itertools.product((0, 1, 2), repeat=3):
+        if shift != (1, 1, 1):
+            lowest &= grid <= padded[tuple(slice(k, k + n) for k, n in zip(shift, grid.shape))]
+    at = np.flatnonzero(lowest)
+    at = at[np.argsort(grid.ravel()[at], kind="stable")][:_SCAN_STARTS]
+    return [[_SCAN_P[i], _SCAN_BETA[j], float(sigmas[k])]
+            for i, j, k in zip(*np.unravel_index(at, grid.shape))]
 
 
 def _head_candidates(x_lower: float, f_head: np.ndarray, f_at: float) -> tuple:
     """(params_of, cdf_of) of `_batch_objective` for the lower step's
     gamma_adj_l: the head CDF of the fixed base, with CDF `f_head` on the
     fitted head and `f_at` at x_lower, times an endpoint-pinned GPD adjuster."""
-    survival_ = KERNELS[Family.GPD].survival
+    kernel = KERNELS[Family.GPD]
+    c = f_head / f_at
 
     def params_of(gamma_adj: float) -> tuple:
         params = _lower_gpd_params(gamma_adj, x_lower)
@@ -495,7 +585,15 @@ def _head_candidates(x_lower: float, f_head: np.ndarray, f_at: float) -> tuple:
         return params
 
     def cdf_of(gamma, sigma, loc) -> Callable:
-        return lambda x: _head_cdf(1.0 - survival_(x, gamma, sigma, loc), f_head, f_at)
+        def model(x):
+            # F = c F_a, with c = F_b / F_b(x_lower) and the adjuster's
+            # sigma = -gamma x_lower, so d/dgamma is d_gamma - x_lower d_sigma
+            s_a = kernel.survival(x, gamma, sigma, loc)
+            d_gamma, d_sigma, _ = kernel.dlog_survival(x, gamma, sigma, loc)
+            f = _head_cdf(1.0 - s_a, f_head, f_at)
+            return np.stack([f, -c * _times_survival(s_a, d_gamma - x_lower * d_sigma)])
+
+        return model
 
     return params_of, cdf_of
 
@@ -507,16 +605,28 @@ def _fit_generic(
     x0_natural: dict,
     config: MadConfig,
     workers: int = 1,
+    extra: Sequence = (),
 ) -> FitResult:
     """Minimum-AD fit of `free_names`, whose `candidates` are the
-    (params_of, cdf_of) pair of `_batch_objective`."""
-    fwd = [_transform(nm)[0] for nm in free_names]
-    inv = [_transform(nm)[1] for nm in free_names]
+    (params_of, cdf_of) pair of `_batch_objective`; each point of `extra`, a
+    list of natural values of the free parameters, adds a restart."""
+    fwd, inv, slope = zip(*map(_transform, free_names))
 
-    def natural(vertices: list) -> list:
-        # each vertex's natural values, with one transform call per parameter
-        columns = np.array(vertices, dtype=float).T
-        return np.array([g(c) for g, c in zip(inv, columns)]).T.tolist()
+    def natural(points: list) -> list:
+        # each point's natural values, with one transform call per parameter;
+        # beyond the float range a scale is inf, which the domain check
+        # refuses, and p_upper is 0
+        columns = np.array(points, dtype=float).T
+        with np.errstate(over="ignore"):
+            return np.array([g(c) for g, c in zip(inv, columns)]).T.tolist()
+
+    def evaluate(points: list) -> list:
+        # the gradient by the natural values, times dv/dt, is the gradient in t
+        thetas = natural(points)
+        return [
+            (f, g if g is None else [d * dv(v) for d, dv, v in zip(g, slope, theta)])
+            for theta, (f, g) in zip(thetas, objective(thetas))
+        ]
 
     objective = _batch_objective(sample, *candidates, config)
     x0 = np.array([g(x0_natural[nm]) for g, nm in zip(fwd, free_names)])
@@ -526,8 +636,9 @@ def _fit_generic(
         lo, hi = (g(b) for b in bounds[nm]) if nm in bounds else (-np.inf, np.inf)
         lb.append(float(lo))
         ub.append(float(hi))
+    extra = [np.array([g(v) for g, v in zip(fwd, point)]) for point in extra]
     best_x, best_f, converged, evals, runs = _minimize_restarts(
-        lambda vertices: objective(natural(vertices)), x0, lb, ub, config, workers
+        evaluate, x0, lb, ub, config, workers, extra
     )
     direction = _objective_direction(config.weighting)
     starts, ends = (natural([run[i] for run in runs]) for i in (0, 2))
@@ -670,7 +781,8 @@ def fit_pipeline(
     transition probability on the tail, lower adjuster on the head.
 
     Up to `workers` processes share each step's optimizer restarts; the
-    result does not depend on how many.
+    result does not depend on how many.  The upper step adds a restart at
+    each of the two lowest minima of a grid scan (`_tail_scan`).
     """
     if plan.x_lower is not None and plan.x_upper is not None and plan.x_lower >= plan.x_upper:
         raise ValueError(f"x_lower ({plan.x_lower}) must be below x_upper ({plan.x_upper})")
@@ -731,6 +843,8 @@ def fit_pipeline(
             upper_fit = _fit_generic(
                 tail, _tail_candidates(plan.x_upper, s_tail, s_at), ["p_upper", "beta", "sigma"],
                 x0, plan.upper_config, workers,
+                _tail_scan(plan.x_upper, tail.values[i_lo - 1 : i_hi], s_tail, s_at,
+                           plan.upper_config),
             )
             p_hat = upper_fit.theta["p_upper"]
             # boundary estimates are reported as exact 0/1

@@ -43,7 +43,8 @@ def assert_batch_matches(sample, candidates, model_of, thetas, config):
     with warnings.catch_warnings():
         # a row whose CDF is 0 or 1 is kept out of the logs
         warnings.simplefilter("error", RuntimeWarning)
-        got = _batch_objective(sample, *candidates, config)([list(t) for t in thetas])
+        pairs = _batch_objective(sample, *candidates, config)([list(t) for t in thetas])
+    got = [value for value, _ in pairs]
     want = [alone(sample, model_of, t, config) for t in thetas]
     assert np.array(got).tobytes() == np.array(want).tobytes(), (got, want)
     return got
@@ -201,5 +202,6 @@ def test_batches_hold_at_most_the_element_cap(n, rows, monkeypatch):
     _batch_objective(sample, *_family_candidates(family, fixed, free), MadConfig())(thetas)
     assert rows == max(1, _BATCH_ELEMENTS // n)
     sizes = [rows] * (13 // rows) + ([13 % rows] if 13 % rows else [])
-    assert shapes == [(k, n) for k in sizes]
+    # the CDFs, then their derivatives by gamma and sigma
+    assert shapes == [(3, k, n) for k in sizes]
 

@@ -405,7 +405,7 @@ def _worker_dies(monkeypatch):
 
 def _restart_worker_dies(monkeypatch):
     parent = os.getpid()
-    steps = estimation._nelder_mead_steps
+    steps = estimation._bfgs_steps
 
     def dies_in_worker(*args, **kwargs):
         if os.getpid() != parent:
@@ -413,7 +413,7 @@ def _restart_worker_dies(monkeypatch):
         return steps(*args, **kwargs)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(estimation, "_nelder_mead_steps", dies_in_worker)
+    monkeypatch.setattr(estimation, "_bfgs_steps", dies_in_worker)
 
 
 class TestTypedFailures:

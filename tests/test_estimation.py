@@ -1,4 +1,5 @@
 import os
+from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from functools import partial
@@ -241,7 +242,7 @@ class TestFitMad:
     def test_bad_fixed_parameter_fails_before_any_restart(self, family, fixed, error, message,
                                                           monkeypatch):
         s = ct.sample(ct.gpd(0.5, 1.0), 600, seed=3)
-        monkeypatch.setattr(estimation, "_nelder_mead_steps", _no_optimizer_run)
+        monkeypatch.setattr(estimation, "_bfgs_steps", _no_optimizer_run)
         with pytest.raises(error, match=message):
             ct.fit_mad(s, family, fixed)
 
@@ -329,14 +330,14 @@ def full_recovery_inputs():
     return s, ct.PipelinePlan(base_family=ct.Family.GPD, x_lower=30.0, x_upper=800.0)
 
 
-# recorded before the pipeline fitted conditioned AdjustedModels
+# recorded with the projected BFGS steps
 FULL_RECOVERY_MODEL_JSON = (
-    '{"base": {"family": "gpd", "params": {"gamma": 1.0087618771370601, "loc": 0.0, '
-    '"sigma": 97.58165745347199}}, "lower": {"adjuster": {"family": "gpd", "params": '
-    '{"gamma": -0.7314034695385205, "loc": 0.0, "sigma": 21.942104086155616}}, '
+    '{"base": {"family": "gpd", "params": {"gamma": 1.008761869415543, "loc": 0.0, '
+    '"sigma": 97.58165822626471}}, "lower": {"adjuster": {"family": "gpd", "params": '
+    '{"gamma": -0.7314034678154668, "loc": 0.0, "sigma": 21.942104034464005}}, '
     '"x_lower": 30.0}, "upper": {"adjuster": {"family": "shifted_weibull", "params": '
-    '{"beta": 1.9317516975991564, "shift": 800.0, "sigma": 2071.563041746535}}, '
-    '"p_upper": 0.6028004533174722, "x_upper": 800.0}}'
+    '{"beta": 1.9317517003990237, "shift": 800.0, "sigma": 2071.563072128596}}, '
+    '"p_upper": 0.6028004565387846, "x_upper": 800.0}}'
 )
 
 
@@ -414,23 +415,27 @@ class TestPipeline:
         monkeypatch.setattr(estimation, "mad_weights", counting_weights)
         monkeypatch.setattr(estimation, "mad_objective", counting_objective)
         ct.fit_pipeline(s, plan)
-        assert {"upper tail", "lower head"} <= set(evaluations)
-        assert len(evaluations) > 100
+        # each step calls the objective more often than it has restarts
+        calls = Counter(evaluations)
+        assert set(calls) == {s.label, "upper tail", "lower head"}
+        assert min(calls.values()) > plan.base_config.restarts
         assert len(weight_calls) <= 3
 
     def test_bootstrap_replicates_are_reproduced(self):
-        # recorded before the objective cached its rank terms and the steps
-        # their base values, and before replicates ran in forked workers
+        # recorded with the projected BFGS steps and the upper step's scan
+        # starts; the first replicate's upper step ends on a ridge at the beta
+        # bound, where its value is flat to ~1e-9 relative along p_upper, so
+        # p_upper is loosely determined
         recorded = [
-            {"gamma": 0.5250016688827037, "sigma": 0.975014422051785,
-             "p_upper": 0.5057052431358711, "beta_adj_u": 99.99844747789554,
-             "sigma_adj_u": 20.33811309796393, "gamma_adj_l": -0.3913183569908142},
-            {"gamma": 0.5184658009902041, "sigma": 1.1099919608785727,
-             "p_upper": 0.329924366899062, "beta_adj_u": 3.802077661478964,
-             "sigma_adj_u": 2.909329804831676, "gamma_adj_l": -0.24972075167845026},
-            {"gamma": 0.6700798769646689, "sigma": 0.9086776349320899,
-             "p_upper": 0.6033003846834895, "beta_adj_u": 9.617229613099589,
-             "sigma_adj_u": 12.738182810410153, "gamma_adj_l": -0.4866657957954753},
+            {"gamma": 0.5250016384242906, "sigma": 0.9750144446860093,
+             "p_upper": 0.3796120834835504, "beta_adj_u": 99.99954122573415,
+             "sigma_adj_u": 20.206749729591575, "gamma_adj_l": -0.39131835874713544},
+            {"gamma": 0.5184657951928254, "sigma": 1.1099919645929694,
+             "p_upper": 0.32992435931548847, "beta_adj_u": 3.8020776748508123,
+             "sigma_adj_u": 2.909329778213568, "gamma_adj_l": -0.24972074436100608},
+            {"gamma": 0.6700798774502412, "sigma": 0.9086776301718371,
+             "p_upper": 0.5668012456788247, "beta_adj_u": 100.00000000000004,
+             "sigma_adj_u": 11.83439524354227, "gamma_adj_l": -0.48666580250582125},
         ]
         s, plan = self.small_composite()
         for workers in (1, 2, 3):
@@ -485,8 +490,8 @@ class TestPipeline:
                                lower_config=lower_config)
         rank = rank_range[0] if rank_range else 1
         runs = []
-        steps = estimation._nelder_mead_steps
-        monkeypatch.setattr(estimation, "_nelder_mead_steps",
+        steps = estimation._bfgs_steps
+        monkeypatch.setattr(estimation, "_bfgs_steps",
                             lambda *args: runs.append(args) or steps(*args))
         with pytest.raises(ValueError, match=(
             rf"^the smallest fitted head observation {s.values[rank - 1]:g} \(rank {rank}\) "
@@ -515,6 +520,74 @@ def _no_pool(*args, **kwargs):
     raise AssertionError("no process pool expected")
 
 
+# the composite law of the benchmark's inputs: a GPD base, a shifted-Weibull
+# upper adjuster mixed in with p_upper 0.5 above 20, a lower adjuster below 0.2
+BENCH_LAW = ct.AdjustedModel(
+    ct.gpd(0.6, 1.0),
+    ct.UpperAdjustment(ct.shifted_weibull(20.0, 30.0, 2.0), 0.5, 20.0),
+    ct.LowerAdjustment(ct.lower_gpd_adjuster(-0.5, 0.2), 0.2),
+)
+
+
+class TestUpperScan:
+    """The upper step's grid scan and the restarts it adds."""
+
+    @pytest.mark.parametrize("seed,weighting,recorded", [
+        (12, Weighting.UNWEIGHTED, -16.68348453116333),
+        (1018, Weighting.UNWEIGHTED, -16.744207029127935),
+        (2005, Weighting.NORMALIZED, 15.13078526481886),
+        (2015, Weighting.UNWEIGHTED, -21.140126720242016),
+        (2015, Weighting.NORMALIZED, 42.2887481679251),
+        (2015, Weighting.SQRT_PREFERENCE, 185.9220481019744),
+        (2019, Weighting.NORMALIZED, 22.363677112448713),
+    ])
+    def test_upper_step_reaches_the_recorded_basins(self, seed, weighting, recorded):
+        # upper-step values the adaptive Nelder-Mead reached on these samples:
+        # a steep adjuster between two tail points, or one collapsed just above
+        # x_upper with p_upper near 0.02, basins that the perturbed restarts
+        # alone miss by 1.5e-4 to 7.5e-3 relative; the bases differ from
+        # Nelder-Mead's by ~1e-9, so the bar is 1e-7
+        config = MadConfig(weighting=weighting)
+        plan = ct.PipelinePlan(
+            ct.Family.GPD, x_lower=0.2, x_upper=20.0, base_config=config,
+            upper_config=replace(config, bounds={"beta": (0.5, 100.0)}),
+            lower_config=replace(config, bounds={"gamma_adj_l": (-5.0, -0.01)}),
+        )
+        s = ct.sample_mechanism(BENCH_LAW, 2000, seed)
+        value = ct.fit_pipeline(s, plan).upper_fit.objective_value
+        direction = -1.0 if weighting == Weighting.UNWEIGHTED else 1.0
+        assert direction * (value - recorded) <= 1e-7 * abs(recorded)
+
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    def test_starts_are_the_lowest_grid_minima(self, weighting):
+        # every grid point's value from the one-candidate model, then the
+        # points none of whose up to 26 grid neighbours is lower
+        s, plan = TestPipeline.small_composite()
+        base = ct.gpd(0.6, 1.0)
+        tail = ct.OrderedSample.from_values(s.values[s.values > 10.0], label="upper tail")
+        config = MadConfig(weighting=weighting)
+        excess = tail.values - 10.0
+        sigmas = [float(np.sqrt(a * b)) for a, b in zip(excess[:-1], excess[1:])] + [2 * excess[-1]]
+        grid = [estimation._SCAN_P, estimation._SCAN_BETA, sigmas]
+        direction = -1.0 if weighting == Weighting.UNWEIGHTED else 1.0
+
+        def value(i, j, k):
+            model = ct.AdjustedModel(base, ct.UpperAdjustment(
+                ct.shifted_weibull(10.0, grid[2][k], grid[1][j]), grid[0][i], 10.0))
+            return direction * estimation.mad_objective(tail, lambda x: tail_cdf(model, x), config)
+
+        shape = [len(axis) for axis in grid]
+        values = {at: value(*at) for at in np.ndindex(*shape)}
+        offsets = [np.subtract(d, 1) for d in np.ndindex(3, 3, 3) if d != (1, 1, 1)]
+        minima = [at for at in values
+                  if all(values.get(tuple(np.add(at, d)), np.inf) >= values[at] for d in offsets)]
+        minima.sort(key=lambda at: values[at])
+        lowest = minima[: estimation._SCAN_STARTS]
+        want = [[grid[0][i], grid[1][j], grid[2][k]] for i, j, k in lowest]
+        s_tail, s_at = ct.survival(base, tail.values), ct.survival(base, 10.0)
+        assert estimation._tail_scan(10.0, tail.values, s_tail, s_at, config) == want
+
+
 class TestRestartWorkers:
     """Forked workers share each step's restarts; results do not depend on how many."""
 
@@ -534,7 +607,9 @@ class TestRestartWorkers:
         for step in ("base_fit", "upper_fit", "lower_fit"):
             fit = getattr(runs[0], step)
             assert [getattr(out, step).restarts for out in runs[1:]] == [fit.restarts] * 2
-            assert len(fit.restarts) == fit.config.restarts
+            # the upper step adds a restart at each of its scan's lowest grid minima
+            scan = estimation._SCAN_STARTS if step == "upper_fit" else 0
+            assert len(fit.restarts) == fit.config.restarts + scan
             assert sum(nfev for *_, nfev in fit.restarts) == fit.evaluations
             direction = -1.0 if fit.config.weighting == Weighting.UNWEIGHTED else 1.0
             best = min(fit.restarts, key=lambda restart: direction * restart[2])
@@ -564,14 +639,14 @@ class TestRestartWorkers:
 
     def test_dead_worker_raises(self, monkeypatch):
         parent = os.getpid()
-        steps = estimation._nelder_mead_steps
+        steps = estimation._bfgs_steps
 
         def dies_in_worker(*args, **kwargs):
             if os.getpid() != parent:
                 os._exit(3)
             return steps(*args, **kwargs)
 
-        monkeypatch.setattr(estimation, "_nelder_mead_steps", dies_in_worker)
+        monkeypatch.setattr(estimation, "_bfgs_steps", dies_in_worker)
         s = ct.sample(ct.gpd(0.5, 1.0), 200, seed=0)
         with pytest.raises(BrokenProcessPool):
             ct.fit_mad(s, ct.Family.GPD, workers=2)
