@@ -14,13 +14,10 @@ from .core_dist import (
     ParameterError,
     cdf,
     density,
-    edf_position,
     edf_positions,
-    empirical_cdf,
     exponential,
     gpd,
     invert_cdf,
-    mixture_cdf,
     pareto,
     quantile,
     sample,
@@ -45,14 +42,12 @@ from .tail_model import (
 )
 from .claim_process import (
     InflationScenario,
-    ThinningSpec,
     sample_max_principle,
     sample_mechanism,
     sample_min_principle,
     sample_thinned,
     simulate_inflation_scenario,
     substream,
-    thinned_cdf,
     thinned_cdf_closed,
 )
 from .estimation import (
@@ -71,4 +66,4 @@ from .estimation import (
 from .gof import Margins, TailTestResult, pareto_tail_test, qq_coordinates, run_lengths
 from .resampling import BootstrapSummary, bootstrap_fit
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

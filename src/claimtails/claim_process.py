@@ -5,7 +5,6 @@ mixing, size-dependent thinning and the inflated point-process demonstration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -13,17 +12,11 @@ from .core_dist import (
     DistributionSpec,
     OrderedSample,
     as_generator,
-    cdf,
-    density,
     draw,
     invert_cdf,
     pareto,
 )
 from .tail_model import AdjustedModel
-
-
-class NumericFailureError(ArithmeticError):
-    """Raised when the thinning quadrature cannot reach its tolerance."""
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -72,59 +65,11 @@ def sample_mechanism(model: AdjustedModel, n: int, seed) -> OrderedSample:
 # ---------------------------------------------------------------------------
 # thinning
 
-@dataclass(frozen=True)
-class ThinningSpec:
-    """Size-dependent claim filing model on the logarithmic loss scale.
-
-    `sigma_t` scales the thinning probability exp(-x/sigma_t) that a loss is
-    never filed as a claim; `sigma_t=None` disables thinning entirely.
-    """
-
-    base: DistributionSpec
-    sigma_t: Optional[float]
-
-    def __post_init__(self):
-        if self.sigma_t is not None and self.sigma_t <= 0:
-            raise ValueError(f"thinning scale must be positive, got {self.sigma_t}")
-
-
-def thinning_probability(spec: ThinningSpec, x) -> np.ndarray:
-    """Probability that a loss of size x is dropped (never claimed)."""
-    if spec.sigma_t is None:
-        return np.zeros_like(np.asarray(x, dtype=float))
-    return np.exp(-np.asarray(x, dtype=float) / spec.sigma_t)
-
-
-def thinned_cdf(spec: ThinningSpec, x: float) -> float:
-    """CDF of the filed-claim distribution via adaptive quadrature.
-
-    The integrand weights the loss density by the filing (retention)
-    probability 1 - exp(-y/sigma_t); this is the weighting under which the
-    exponential/exponential case reduces to the printed closed form.
-    """
-    if x < 0:
-        raise ValueError("thinned CDF is defined for x >= 0")
-    if x == 0:
-        return 0.0
-    if spec.sigma_t is None:
-        return float(cdf(spec.base, x))
-    from scipy.integrate import quad
-
-    st = spec.sigma_t
-
-    def integrand(y):
-        return density(spec.base, y) * (1.0 - np.exp(-y / st))
-
-    num, err1 = quad(integrand, 0.0, x, epsabs=1e-12, epsrel=1e-12, limit=200)
-    den, err2 = quad(integrand, 0.0, np.inf, epsabs=1e-12, epsrel=1e-12, limit=200)
-    if den <= 0 or err2 > 1e-8 * max(den, 1e-30):
-        raise NumericFailureError("thinning normalization integral failed")
-    return min(num / den, 1.0)
-
-
 def thinned_cdf_closed(sigma: float, sigma_t: float, x):
-    """Closed-form thinned CDF for an exponential loss law with exponential
-    thinning, re-derived from the integral form:
+    """Closed-form thinned CDF for an exponential(sigma) loss law whose loss
+    of size y is filed as a claim with probability 1 - exp(-y/sigma_t): the
+    loss density times that probability, integrated over [0, x] and
+    normalised by its integral over [0, inf), is
 
         F(x) = 1 - [(sigma+sigma_t) e^{-x/sigma}
                     - sigma_t e^{-x (sigma+sigma_t)/(sigma sigma_t)}] / sigma

@@ -1,8 +1,8 @@
-"""Parametric claim-size distribution families and empirical distribution utilities.
+"""Parametric claim-size distribution families and rank-based plotting positions.
 
 Implements the Pareto, generalized Pareto (GPD), exponential, shifted Weibull
 and stepped (cascading) Pareto families with CDF/survival/density/quantile
-evaluation and inverse-transform sampling, plus rank-based plotting positions.
+evaluation, inverse-transform sampling and numerical CDF inversion.
 """
 
 from __future__ import annotations
@@ -87,14 +87,29 @@ def _power(base, exponent):
 def _gpd_survival(xv, gamma, sigma, loc):
     z = np.maximum(xv - loc, 0.0)
     rows = isinstance(gamma, np.ndarray)  # a column of candidates picks a branch per row
-    exponential = gamma == 0.0
-    if exponential.all() if rows else exponential:
-        return np.exp(-z / sigma)
-    t = np.maximum(1.0 + gamma * z / sigma, 0.0)
-    # a subnormal gamma gives an infinite exponent, as Python's float division does
-    with np.errstate(divide="ignore", over="ignore"):
+    small = abs(gamma) < 1e-6
+    if small.all() if rows else small:
+        return _gpd_small_shape_survival(z, gamma, sigma)
+    # a zero or subnormal gamma on a row of the small-shape branch gives an
+    # infinite exponent, and a zero one gives 0 * inf at x = inf
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = np.maximum(1.0 + gamma * z / sigma, 0.0)
         s = _power(t, -1.0 / gamma)
-    return np.where(exponential, np.exp(-z / sigma), s) if rows and exponential.any() else s
+    if rows and small.any():
+        return np.where(small, _gpd_small_shape_survival(z, gamma, sigma), s)
+    return s
+
+
+def _gpd_small_shape_survival(z, gamma, sigma):
+    # S = (1 + u)**(-1/gamma) = exp(-r log1p(u)/u) with r = z/sigma, u = gamma r:
+    # 1 + u rounds gamma's digits away as gamma -> 0, log1p(u) keeps them, and
+    # log1p(u)/u is 1 at u = 0 (gamma = 0 is the exponential law).  r is capped
+    # so that u stays finite at x = inf, and u at -1, beyond a negative shape's
+    # endpoint, where S = 0
+    r = np.minimum(z / sigma, 1e300)
+    u = np.maximum(gamma * r, -1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.exp(-r * np.where(u == 0.0, 1.0, np.log1p(u) / u))
 
 
 # h(u) = (log1p(u) - u/(1+u)) / u**2 = sum over j >= 2 of (-1)**j (j-1)/j u**(j-2),
@@ -483,50 +498,9 @@ def invert_cdf(cdf_fn: Callable, p, lo, hi) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# empirical distribution
-
-def edf_position(i: int, n: int) -> float:
-    """Plotting position i/(n+1) for rank i in a sample of size n."""
-    if not (1 <= i <= n):
-        raise ValueError(f"rank {i} out of range [1, {n}]")
-    return i / (n + 1)
-
+# plotting positions
 
 def edf_positions(n: int) -> np.ndarray:
     """Vector of plotting positions i/(n+1) for i = 1..n."""
     return np.arange(1, n + 1) / (n + 1)
 
-
-def empirical_cdf(sample_: OrderedSample) -> Callable:
-    """Step-function EDF based on the i/(n+1) plotting positions."""
-    values = sample_.values
-    n = sample_.n
-
-    def _cdf(x):
-        k = np.searchsorted(values, np.asarray(x, dtype=float), side="right")
-        out = k / (n + 1)
-        return out if np.ndim(x) else float(out)
-
-    return _cdf
-
-
-def _as_cdf(f) -> Callable:
-    if isinstance(f, DistributionSpec):
-        return lambda x, _s=f: cdf(_s, x)
-    if isinstance(f, OrderedSample):
-        return empirical_cdf(f)
-    if callable(f):
-        return f
-    raise TypeError(f"cannot interpret {type(f)} as a CDF")
-
-
-def mixture_cdf(f1, f2, p: float, x) -> Union[float, np.ndarray]:
-    """Discrete mixture (1-p)*F1(x) + p*F2(x).
-
-    Components may be DistributionSpec, OrderedSample (EDF) or plain callables.
-    """
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"mixing probability must lie in [0,1], got {p}")
-    c1, c2 = _as_cdf(f1), _as_cdf(f2)
-    out = (1.0 - p) * np.asarray(c1(x)) + p * np.asarray(c2(x))
-    return out if np.ndim(x) else float(out)

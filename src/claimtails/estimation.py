@@ -611,14 +611,20 @@ def _fit_generic(
     (params_of, cdf_of) pair of `_batch_objective`; each point of `extra`, a
     list of natural values of the free parameters, adds a restart."""
     fwd, inv, slope = zip(*map(_transform, free_names))
+    bounds = config.bounds or {}
+    box = [(i, *bounds[nm]) for i, nm in enumerate(free_names) if nm in bounds]
 
     def natural(points: list) -> list:
         # each point's natural values, with one transform call per parameter;
         # beyond the float range a scale is inf, which the domain check
-        # refuses, and p_upper is 0
+        # refuses, and p_upper is 0.  The box is built in transformed space,
+        # so a point on its edge can map a rounding step outside its bound
         columns = np.array(points, dtype=float).T
         with np.errstate(over="ignore"):
-            return np.array([g(c) for g, c in zip(inv, columns)]).T.tolist()
+            values = [g(c) for g, c in zip(inv, columns)]
+        for i, lo, hi in box:
+            values[i] = np.minimum(np.maximum(values[i], lo), hi)
+        return np.array(values).T.tolist()
 
     def evaluate(points: list) -> list:
         # the gradient by the natural values, times dv/dt, is the gradient in t
@@ -630,7 +636,6 @@ def _fit_generic(
 
     objective = _batch_objective(sample, *candidates, config)
     x0 = np.array([g(x0_natural[nm]) for g, nm in zip(fwd, free_names)])
-    bounds = config.bounds or {}
     lb, ub = [], []
     for g, nm in zip(fwd, free_names):
         lo, hi = (g(b) for b in bounds[nm]) if nm in bounds else (-np.inf, np.inf)

@@ -39,16 +39,12 @@ def run_lengths(edf_vals, model_vals) -> dict:
     f = np.asarray(model_vals, dtype=float)
     if e.shape != f.shape:
         raise ValueError("EDF and model vectors must have equal length")
-    l = _run_lengths_rows((e > f)[None, :])[0]
+    # the current run length is the running count minus its value at the last
+    # non-exceedance
+    exceeds = e > f
+    s = np.cumsum(exceeds)
+    l = s - np.maximum.accumulate(np.where(exceeds, 0, s))
     return {"l": l, "m": int(l.max(initial=0))}
-
-
-def _run_lengths_rows(indicator: np.ndarray) -> np.ndarray:
-    """Current run length of True at each position, per row of a 2-d
-    boolean array: the running count minus its value at the last False."""
-    s = np.cumsum(indicator, axis=1)
-    base = np.maximum.accumulate(np.where(indicator, 0, s), axis=1)
-    return s - base
 
 
 def _longest_runs_rows(indicator: np.ndarray) -> np.ndarray:

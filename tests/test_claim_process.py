@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import kstest
 
 import claimtails as ct
-from claimtails.claim_process import NumericFailureError, thinning_probability
+from oracles import quadrature_thinned_cdf
 
 
 class TestPrinciples:
@@ -62,9 +62,8 @@ class TestThinning:
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("sigma_t", [0.5, 1.0, 2.0])
     def test_quadrature_matches_closed_form(self, sigma, sigma_t):
-        spec = ct.ThinningSpec(ct.exponential(sigma), sigma_t)
         for x in (0.1, 0.5, 1.0, 2.5, 8.0):
-            assert ct.thinned_cdf(spec, x) == pytest.approx(
+            assert quadrature_thinned_cdf(sigma, sigma_t, x) == pytest.approx(
                 ct.thinned_cdf_closed(sigma, sigma_t, x), abs=1e-8
             )
 
@@ -74,30 +73,18 @@ class TestThinning:
         closed = np.array([ct.thinned_cdf_closed(1.0, 1.0, x) for x in xs])
         np.testing.assert_allclose(closed, (1 - np.exp(-xs)) ** 2, atol=1e-12)
 
-    def test_no_thinning_passthrough(self):
-        spec = ct.ThinningSpec(ct.exponential(2.0), None)
-        assert ct.thinned_cdf(spec, 3.0) == pytest.approx(
-            ct.cdf(ct.exponential(2.0), 3.0)
-        )
-        assert np.all(thinning_probability(spec, np.array([1.0, 5.0])) == 0.0)
-
-    def test_thinning_probability_shape(self):
-        spec = ct.ThinningSpec(ct.exponential(1.0), 2.0)
-        assert thinning_probability(spec, 0.0) == 1.0
-        assert thinning_probability(spec, 2.0) == pytest.approx(np.exp(-1))
-
     def test_thinned_stochastically_larger(self):
         # removing small losses shifts the claim distribution upward
-        spec = ct.ThinningSpec(ct.exponential(1.0), 1.0)
         for x in (0.2, 1.0, 3.0):
-            assert ct.thinned_cdf(spec, x) < ct.cdf(ct.exponential(1.0), x)
+            assert ct.thinned_cdf_closed(1.0, 1.0, x) < ct.cdf(ct.exponential(1.0), x)
 
     def test_domain_errors(self):
-        spec = ct.ThinningSpec(ct.exponential(1.0), 1.0)
         with pytest.raises(ValueError):
-            ct.thinned_cdf(spec, -1.0)
+            ct.thinned_cdf_closed(1.0, 1.0, -1.0)
         with pytest.raises(ValueError):
-            ct.ThinningSpec(ct.exponential(1.0), 0.0)
+            ct.thinned_cdf_closed(1.0, 1.0, np.array([1.0, -1.0]))
+        with pytest.raises(ValueError):
+            ct.thinned_cdf_closed(1.0, 0.0, 2.0)
         with pytest.raises(ValueError):
             ct.thinned_cdf_closed(1.0, -1.0, 2.0)
 

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 import claimtails as ct
-from claimtails import claim_process, estimation, gof, parallel
-from claimtails.claim_process import NumericFailureError
+from claimtails import estimation, gof, parallel
 from claimtails.cli import InputError, main, read_config_file, read_loss_csv, write_csv
 from claimtails.estimation import FitFailedError
 from claimtails.tail_model import ProbeTooFarError
@@ -382,11 +381,6 @@ def _fails_to_fit(monkeypatch):
     monkeypatch.setattr(estimation, "fit_pipeline", _raise(FitFailedError("no restart converged")))
 
 
-def _fails_quadrature(monkeypatch):
-    monkeypatch.setattr(claim_process, "sample_thinned",
-                        _raise(NumericFailureError("thinning normalization integral failed")))
-
-
 def _probes_too_far(monkeypatch):
     monkeypatch.setattr(gof, "qq_coordinates", _raise(ProbeTooFarError("base survival underflows")))
 
@@ -427,7 +421,6 @@ class TestTypedFailures:
         pytest.param("bootstrap", _worker_dies, "terminated abruptly", id="BrokenProcessPool"),
         pytest.param("fit", _restart_worker_dies, "terminated abruptly",
                      id="BrokenProcessPool-restart"),
-        pytest.param("thinning", _fails_quadrature, "integral failed", id="NumericFailureError"),
         pytest.param("qq", _probes_too_far, "underflows", id="ProbeTooFarError"),
         # no patch: with sigma = 1e6 the draws fall outside the bracket
         pytest.param("thinning-unbracketed", None, "outside [F(lo), F(hi)]", id="BracketError"),
@@ -440,7 +433,6 @@ class TestTypedFailures:
         argv = {
             "fit": ["fit", "--input", str(loss_csv), *common],
             "bootstrap": ["bootstrap", "--input", str(loss_csv), "--boot-reps", "3", *common],
-            "thinning": ["simulate", "--mode", "thinning", "-n", "10", *common],
             "qq": ["qq", "--input", str(loss_csv), "--model", str(mpath), *common],
             "thinning-unbracketed": ["simulate", "--mode", "thinning", "--sigma", "1e6",
                                      "-n", "10", *common],
@@ -537,9 +529,9 @@ class TestWriteCsv:
 
 
 def test_import_leaves_scipy_stats_and_integrate_unloaded():
-    # they load on first use: the GPD ML fit and the quadrature thinned CDF
-    # (the Q-Q normal margins need only scipy.special); the fits' optimizer is
-    # claimtails' own, so no scipy module loads at all, scipy.optimize included
+    # scipy.stats loads on first use, by the GPD ML fit; no library code uses
+    # scipy.integrate, the Q-Q normal margins need only scipy.special, and the
+    # fits' optimizer is claimtails' own, so no scipy module loads at all
     code = ("import sys, claimtails; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     env = {**os.environ, "PYTHONPATH": str(Path(ct.__file__).parents[1])}

@@ -32,6 +32,28 @@ class TestCdfSurvival:
     def test_gpd_exponential_branch(self):
         assert ct.cdf(ct.gpd(0.0, 1.0), 1.0) == pytest.approx(1 - np.exp(-1), abs=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma", [1e-320, 1e-300, -1e-300, 1e-17, 1e-12, -1e-12, 1e-8])
+    def test_gpd_small_shapes(self, gamma):
+        # 1 + gamma z/sigma rounds the shape's digits away as gamma -> 0
+        z = np.array([0.5, 5.0, 40.0])
+        u = gamma * z / 2.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            exact = np.where(u == 0.0, np.exp(-z / 2.0), np.exp(-np.log1p(u) / gamma))
+        np.testing.assert_allclose(ct.survival(ct.gpd(gamma, 2.0), z), exact,
+                                   rtol=1e-15, atol=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_gpd_shape_column_equals_its_rows(self):
+        from claimtails.core_dist import KERNELS
+        gammas = [1e-17, 0.5, 0.0, -0.3, 1e-9, -2e-7]
+        sigmas = [1.0, 2.0, 1.5, 3.0, 1.0, 0.5]
+        x = np.array([0.0, 0.5, 3.0, 9.9, 40.0, 1e8, np.inf])
+        survival = KERNELS[ct.Family.GPD].survival
+        column = survival(x, np.array(gammas)[:, None], np.array(sigmas)[:, None], 0.0)
+        for row, gamma, sigma in zip(column, gammas, sigmas):
+            np.testing.assert_array_equal(row, survival(x, gamma, sigma, 0.0))
+
     def test_stepped_continuity_both_branches(self):
         # first branch at sigma2 and second branch limit coincide
         a1, a2, s1, s2, s3 = STEPPED.params
@@ -181,45 +203,16 @@ class TestSample:
 
 class TestEdf:
     def test_single_observation(self):
-        assert ct.edf_position(1, 1) == 0.5
+        assert ct.edf_positions(1).tolist() == [0.5]
 
     def test_large_sample_position(self):
-        assert ct.edf_position(9181, 9181) == pytest.approx(9181 / 9182)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            ct.edf_position(0, 5)
-        with pytest.raises(ValueError):
-            ct.edf_position(6, 5)
+        assert ct.edf_positions(9181)[-1] == pytest.approx(9181 / 9182)
 
     @given(st.integers(min_value=2, max_value=10_000))
     def test_strictly_increasing(self, n):
         pos = ct.edf_positions(n)
         assert np.all(np.diff(pos) > 0)
         assert 0 < pos[0] and pos[-1] < 1
-
-
-class TestMixture:
-    def test_endpoints(self):
-        f1 = ct.exponential(1.0)
-        f2 = ct.pareto(1.0, 1.0)
-        assert ct.mixture_cdf(f1, f2, 0.0, 2.0) == ct.cdf(f1, 2.0)
-        assert ct.mixture_cdf(f1, f2, 1.0, 2.0) == ct.cdf(f2, 2.0)
-
-    def test_identical_components(self):
-        f = ct.exponential(1.0)
-        assert ct.mixture_cdf(f, f, 0.081, 1.7) == pytest.approx(ct.cdf(f, 1.7))
-
-    def test_edf_component(self):
-        s = ct.OrderedSample.from_values([1.0, 2.0, 3.0])
-        assert ct.mixture_cdf(s, s, 0.3, 2.5) == pytest.approx(2 / 4)
-
-    @given(st.floats(min_value=-2, max_value=3))
-    def test_bad_probability(self, p):
-        if 0 <= p <= 1:
-            return
-        with pytest.raises(ValueError):
-            ct.mixture_cdf(ct.exponential(1.0), ct.exponential(2.0), p, 1.0)
 
 
 class TestParameterDomain:

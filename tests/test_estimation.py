@@ -425,7 +425,7 @@ class TestPipeline:
         # recorded with the projected BFGS steps and the upper step's scan
         # starts; the first replicate's upper step ends on a ridge at the beta
         # bound, where its value is flat to ~1e-9 relative along p_upper, so
-        # p_upper is loosely determined
+        # p_upper is loosely determined; the third ends on the bound itself
         recorded = [
             {"gamma": 0.5250016384242906, "sigma": 0.9750144446860093,
              "p_upper": 0.3796120834835504, "beta_adj_u": 99.99954122573415,
@@ -434,7 +434,7 @@ class TestPipeline:
              "p_upper": 0.32992435931548847, "beta_adj_u": 3.8020776748508123,
              "sigma_adj_u": 2.909329778213568, "gamma_adj_l": -0.24972074436100608},
             {"gamma": 0.6700798774502412, "sigma": 0.9086776301718371,
-             "p_upper": 0.5668012456788247, "beta_adj_u": 100.00000000000004,
+             "p_upper": 0.5668012456788248, "beta_adj_u": 100.0,
              "sigma_adj_u": 11.83439524354227, "gamma_adj_l": -0.48666580250582125},
         ]
         s, plan = self.small_composite()
@@ -444,6 +444,19 @@ class TestPipeline:
                 workers=workers,
             )
             assert out.replicates == recorded, f"workers={workers}"
+
+    def test_fitted_parameters_stay_inside_their_bounds(self):
+        # the bootstrap's third replicate (seed 5): its upper step ends on the
+        # beta bound, which maps to transformed space and back a rounding step
+        # above 100
+        s, plan = self.small_composite()
+        idx = ct.substream(5, 2).integers(0, s.n, size=s.n)
+        out = ct.fit_pipeline(ct.OrderedSample.from_values(s.values[idx]), plan)
+        hi = plan.upper_config.bounds["beta"][1]
+        assert out.upper_fit.theta["beta"] == hi
+        assert out.theta["beta_adj_u"] == hi
+        for start, end, _, _ in out.upper_fit.restarts:
+            assert start["beta"] <= hi and end["beta"] <= hi
 
     def test_adjuster_steps_honour_their_rank_range(self):
         # the base values computed once per step cover the fitted ranks only
