@@ -268,8 +268,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     sample = read_loss_csv(cfg["input"], cfg["column"])
     plan = _build_plan(cfg, sample)
-    # each step's restarts on every CPU
-    result = estimation.fit_pipeline(sample, plan, workers=_cpu_count())
+    result = estimation.fit_pipeline(sample, plan)
     out = Path(cfg["out"])
     report = {
         "model": model_to_dict(result.model),
@@ -319,9 +318,9 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
     sample = read_loss_csv(cfg["input"], cfg["column"])
     plan = _build_plan(cfg, sample)
     B = _cfg_int(cfg, "boot_reps", 200, minimum=1)
-    # replicates on every CPU; each replicate's fit stays serial, so pools never nest
+    # replicates on every CPU
     summary = resampling.bootstrap_fit(
-        sample, lambda resample: estimation.fit_pipeline(resample, plan, workers=1).theta,
+        sample, lambda resample: estimation.fit_pipeline(resample, plan).theta,
         B, _cfg_int(cfg, "seed"), keep_replicates=True, workers=_cpu_count(),
     )
     out = Path(cfg["out"])

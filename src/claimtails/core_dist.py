@@ -141,8 +141,15 @@ def _gpd_dlog_survival(xv, gamma, sigma, loc):
 
 def _gpd_density(xv, gamma, sigma, loc):
     z = xv - loc
-    if gamma == 0.0:
-        return np.where(z < 0, 0.0, np.exp(-np.maximum(z, 0.0) / sigma) / sigma)
+    if abs(gamma) < 1e-6:
+        # f = S/(sigma (1 + u)) with u = gamma z/sigma, from the small-shape
+        # survival (capped as there); S and 1 + u are 0 at a negative shape's
+        # endpoint
+        above = np.maximum(z, 0.0)
+        s = _gpd_small_shape_survival(above, gamma, sigma)
+        u = gamma * np.minimum(above / sigma, 1e300)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where((z < 0) | (u <= -1.0), 0.0, s / (sigma * (1.0 + u)))
     t = 1.0 + gamma * np.maximum(z, 0.0) / sigma
     inside = (z >= 0) & (t > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -150,8 +157,14 @@ def _gpd_density(xv, gamma, sigma, loc):
 
 
 def _gpd_quantile(q, gamma, sigma, loc):
-    if gamma == 0.0:
-        return loc - sigma * np.log(q)
+    if abs(gamma) < 1e-6:
+        # x = loc + sigma (q**(-gamma) - 1)/gamma, and q**(-gamma) rounds to 1 as
+        # gamma -> 0: with L = -log q it is loc + sigma L expm1(w)/w, w = gamma L,
+        # and expm1(w)/w is 1 at w = 0 (gamma = 0 is the exponential law)
+        big_l = -np.log(q)
+        w = gamma * big_l
+        with np.errstate(invalid="ignore"):
+            return loc + sigma * big_l * np.where(w == 0.0, 1.0, np.expm1(w) / w)
     return loc + sigma * (np.power(q, -gamma) - 1.0) / gamma
 
 

@@ -25,7 +25,6 @@ from .core_dist import (
     spec_from_dict,
     survival,
 )
-from .parallel import fork_chunks
 from .tail_model import (
     AdjustedModel,
     LowerAdjustment,
@@ -110,17 +109,19 @@ def _degenerate(f: np.ndarray) -> np.ndarray:
 
 def _cdf_values(values: np.ndarray, model, first_rank: int = 1) -> tuple:
     """Model CDF at `values`, the order statistics of ranks first_rank, ...,
-    and its partial derivatives (None unless the model returns them); raises
-    LogDomainError with the rank of the first value where the CDF is 0 or 1.
-    A (k, m) CDF, one candidate per row, is returned unchecked."""
+    and the list of its partial derivatives (None unless the model returns
+    the pair (F, [dF, ...])); raises LogDomainError with the rank of the
+    first value where the CDF is 0 or 1.  A (k, m) CDF, one candidate per
+    row, is returned unchecked."""
     if isinstance(model, DistributionSpec):
-        f = np.asarray(cdf(model, values))
+        f = cdf(model, values)
     elif isinstance(model, AdjustedModel):
-        f = np.asarray(adjusted_cdf(model, values))
+        f = adjusted_cdf(model, values)
     else:
-        f = np.asarray(model(values))
-    if f.ndim == 3:
-        return f[0], f[1:]
+        f = model(values)
+        if isinstance(f, tuple):
+            return f
+    f = np.asarray(f)
     if f.ndim == 1:
         bad = np.nonzero(_degenerate(f))[0]
         if bad.size:
@@ -129,12 +130,9 @@ def _cdf_values(values: np.ndarray, model, first_rank: int = 1) -> tuple:
 
 
 def ad_statistic(sample: OrderedSample, model) -> float:
-    """Anderson-Darling statistic with the standard 1/n normalization."""
-    f, _ = _cdf_values(sample.values, model)
-    n = sample.n
-    i = np.arange(1, n + 1)
-    s = np.sum((2 * i - 1) * np.log(f) + (2 * (n - i) + 1) * np.log1p(-f))
-    return float(-n - s / n)
+    """Anderson-Darling statistic with the standard 1/n normalization: -n
+    minus twice the unweighted objective, whose summands are half the AD sum's."""
+    return -sample.n - 2 * mad_objective(sample, model, MadConfig(weighting=Weighting.UNWEIGHTED))
 
 
 def mad_weights(weighting: Weighting, ranks: np.ndarray, n: int) -> np.ndarray:
@@ -180,10 +178,11 @@ def mad_objective(sample: OrderedSample, model, config: MadConfig) -> float | np
     each bit for bit the one a candidate gets alone, with inf in each row
     where the CDF is 0 or 1 (where one candidate raises LogDomainError).
 
-    A model that returns a (1 + d, k, m) array, the CDFs F stacked on their
-    partial derivatives by d parameters, gets (values, gradients) back: the
-    gradient of a candidate's value, sum w (a/F - b/(1-F)) dF, is a row of
-    the (k, d) array, again bit for bit the one it gets alone.
+    A model that returns a pair (F, [dF/dθ1, ..., dF/dθd]), the (k, m) CDFs
+    and their (k, m) partial derivatives by d parameters, gets (values,
+    gradients) back: the gradient of a candidate's value,
+    sum w (a/F - b/(1-F)) dF, is a row of the (k, d) array, again bit for bit
+    the one it gets alone, and 0 in a row where the CDF is 0 or 1.
     """
     n = sample.n
     i_lo, i_hi = config.resolve_ranks(n)
@@ -195,7 +194,7 @@ def mad_objective(sample: OrderedSample, model, config: MadConfig) -> float | np
         degenerate = _degenerate(f).any(axis=1)
         f = np.where(degenerate[:, None], 0.5, f)
         if df is not None:
-            df = np.where(degenerate[:, None], 0.0, df)
+            df = [np.where(degenerate[:, None], 0.0, d) for d in df]
     s = a * np.log(f) + b * np.log1p(-f)
     value = s.sum(axis=-1) / n if w is None else (w * s).sum(axis=-1)
     if f.ndim == 1:
@@ -223,7 +222,7 @@ def _objective_direction(weighting: Weighting) -> float:
 # ---------------------------------------------------------------------------
 # gradient-based fitting
 
-_LOG_PARAMS = {"alpha", "sigma", "beta", "sigma1", "sigma2", "sigma3"}
+_LOG_PARAMS = {"alpha", "sigma", "beta"}
 
 
 def _transform(name: str):
@@ -367,16 +366,14 @@ def _lockstep(evaluate: Callable, runs: list) -> list:
 
 
 def _minimize_restarts(
-    evaluate: Callable, x0: np.ndarray, lb: list, ub: list, config: MadConfig, workers: int = 1,
-    extra: Sequence = (),
+    evaluate: Callable, x0: np.ndarray, lb: list, ub: list, config: MadConfig, extra: Sequence = (),
 ) -> tuple:
     """Projected BFGS with deterministic perturbed restarts in transformed space,
     then one restart from each point of `extra`.
 
-    Up to `workers` processes share the restarts in contiguous chunks (see
-    `fork_chunks`), and each runs its chunk in lockstep: `evaluate` gets a
-    list of points, one per restart still going, and returns their (value,
-    gradient) pairs.
+    The restarts run in lockstep (see `_lockstep`): `evaluate` gets a list of
+    points, one per restart still going, and returns their (value, gradient)
+    pairs.
     Returns (best_x, best_f, converged, total_evals, runs), where `runs`
     holds each restart's (start, fun, x, nfev), in restart order.
     """
@@ -386,13 +383,10 @@ def _minimize_restarts(
     ]
     points = [x0 + offset for offset in offsets] + list(extra)
     starts = [np.clip(x, lb, ub).tolist() for x in points]
-
-    def chunk(indices: range) -> list:
-        return _lockstep(evaluate, [
-            _bfgs_steps(starts[j], lb, ub, config.xtol, config.max_evals) for j in indices
-        ])
-
-    runs = [(start, *run) for start, run in zip(starts, fork_chunks(chunk, len(starts), workers))]
+    ends = _lockstep(evaluate, [
+        _bfgs_steps(start, lb, ub, config.xtol, config.max_evals) for start in starts
+    ])
+    runs = [(start, *end) for start, end in zip(starts, ends)]
     evals = sum(nfev for *_, nfev in runs)
     results = [(f, x) for _, f, x, _ in runs if np.isfinite(f) and f < _PENALTY / 2]
     if not results:
@@ -421,10 +415,10 @@ def _batch_objective(
     candidate, and one whose CDF is 0 or 1 at a fitted observation, gets
     (`_PENALTY`, None).  `cdf_of(*columns)` takes those parameters as (k, 1)
     columns of k candidates and returns the model callable, with a
-    (1 + d, k, m) result: the CDFs, then their partial derivatives by the d
-    free parameters.  The others go to `mad_objective` in batches of at most
-    `_BATCH_ELEMENTS` CDF elements (one candidate where the fitted ranks
-    alone are more).
+    (F, [dF, ...]) result: the (k, m) CDFs and their partial derivatives by
+    the d free parameters.  The others go to `mad_objective` in batches of
+    at most `_BATCH_ELEMENTS` CDF elements (one candidate where the fitted
+    ranks alone are more).
     """
     direction = _objective_direction(config.weighting)
     i_lo, i_hi = config.resolve_ranks(sample.n)
@@ -478,7 +472,7 @@ def _family_candidates(family: Family, fixed: dict, free: Sequence[str]) -> tupl
         def model(x):
             s = kernel.survival(x, *params)
             dlog = kernel.dlog_survival(x, *params)
-            return np.stack([1.0 - s] + [-_times_survival(s, dlog[i]) for i in at])
+            return 1.0 - s, [-_times_survival(s, dlog[i]) for i in at]
 
         return model
 
@@ -505,8 +499,8 @@ def _tail_candidates(x_upper: float, s_tail: np.ndarray, s_at: float) -> tuple:
             s_a = kernel.survival(x, shift, sigma, beta)
             _, d_sigma, d_beta = kernel.dlog_survival(x, shift, sigma, beta)
             f = _tail_cdf(p, s_a, s_tail, s_at)
-            return np.stack([f, c * (1.0 - s_a), -c * p * _times_survival(s_a, d_beta),
-                             -c * p * _times_survival(s_a, d_sigma)])
+            return f, [c * (1.0 - s_a), -c * p * _times_survival(s_a, d_beta),
+                       -c * p * _times_survival(s_a, d_sigma)]
 
         return model
 
@@ -591,7 +585,7 @@ def _head_candidates(x_lower: float, f_head: np.ndarray, f_at: float) -> tuple:
             s_a = kernel.survival(x, gamma, sigma, loc)
             d_gamma, d_sigma, _ = kernel.dlog_survival(x, gamma, sigma, loc)
             f = _head_cdf(1.0 - s_a, f_head, f_at)
-            return np.stack([f, -c * _times_survival(s_a, d_gamma - x_lower * d_sigma)])
+            return f, [-c * _times_survival(s_a, d_gamma - x_lower * d_sigma)]
 
         return model
 
@@ -604,7 +598,6 @@ def _fit_generic(
     free_names: Sequence[str],
     x0_natural: dict,
     config: MadConfig,
-    workers: int = 1,
     extra: Sequence = (),
 ) -> FitResult:
     """Minimum-AD fit of `free_names`, whose `candidates` are the
@@ -642,9 +635,7 @@ def _fit_generic(
         lb.append(float(lo))
         ub.append(float(hi))
     extra = [np.array([g(v) for g, v in zip(fwd, point)]) for point in extra]
-    best_x, best_f, converged, evals, runs = _minimize_restarts(
-        evaluate, x0, lb, ub, config, workers, extra
-    )
+    best_x, best_f, converged, evals, runs = _minimize_restarts(evaluate, x0, lb, ub, config, extra)
     direction = _objective_direction(config.weighting)
     starts, ends = (natural([run[i] for run in runs]) for i in (0, 2))
     restarts = tuple(
@@ -660,15 +651,13 @@ def fit_mad(
     family: Family,
     fixed: Optional[dict] = None,
     config: MadConfig = MadConfig(),
-    workers: int = 1,
 ) -> FitResult:
     """Fit a single family by minimum-AD distance over the configured
     rank range; parameters in `fixed` are held constant.
 
-    Up to `workers` processes share the optimizer restarts; the result does
-    not depend on how many.  Fixed parameters outside the family's domain
-    raise `ParameterError`, and a left endpoint at or above the smallest
-    fitted observation raises `ValueError`, before any restart runs.
+    Fixed parameters outside the family's domain raise `ParameterError`,
+    and a left endpoint at or above the smallest fitted observation raises
+    `ValueError`, before any restart runs.
     """
     kernel = KERNELS[family]
     fixed = {**kernel.fixed, **(fixed or {})}
@@ -691,7 +680,7 @@ def fit_mad(
             f"observation {x_min:g} (rank {i_lo})"
         )
 
-    return _fit_generic(sample, _family_candidates(family, fixed, free), free, x0, config, workers)
+    return _fit_generic(sample, _family_candidates(family, fixed, free), free, x0, config)
 
 
 def fit_gpd_ml(sample: OrderedSample, loc: float = 0.0) -> dict:
@@ -779,15 +768,12 @@ class PipelineResult:
         return theta
 
 
-def fit_pipeline(
-    sample: OrderedSample, plan: PipelinePlan, workers: int = 1
-) -> PipelineResult:
+def fit_pipeline(sample: OrderedSample, plan: PipelinePlan) -> PipelineResult:
     """Three-step composite fit: base on the middle range, upper adjuster and
     transition probability on the tail, lower adjuster on the head.
 
-    Up to `workers` processes share each step's optimizer restarts; the
-    result does not depend on how many.  The upper step adds a restart at
-    each of the two lowest minima of a grid scan (`_tail_scan`).
+    The upper step adds a restart at each of the two lowest minima of a grid
+    scan (`_tail_scan`).
     """
     if plan.x_lower is not None and plan.x_upper is not None and plan.x_lower >= plan.x_upper:
         raise ValueError(f"x_lower ({plan.x_lower}) must be below x_upper ({plan.x_upper})")
@@ -813,7 +799,7 @@ def fit_pipeline(
         rlo, rhi = lo, hi
     cfg1 = replace(cfg1, rank_range=(rlo, rhi))
     base_fixed = {**KERNELS[plan.base_family].fixed, **plan.base_fixed}
-    base_fit = fit_mad(sample, plan.base_family, base_fixed, cfg1, workers)
+    base_fit = fit_mad(sample, plan.base_family, base_fixed, cfg1)
     base = spec_from_dict(plan.base_family, {**base_fixed, **base_fit.theta})
 
     # step 2: upper adjuster + transition probability on the tail subsample
@@ -847,7 +833,7 @@ def fit_pipeline(
 
             upper_fit = _fit_generic(
                 tail, _tail_candidates(plan.x_upper, s_tail, s_at), ["p_upper", "beta", "sigma"],
-                x0, plan.upper_config, workers,
+                x0, plan.upper_config,
                 _tail_scan(plan.x_upper, tail.values[i_lo - 1 : i_hi], s_tail, s_at,
                            plan.upper_config),
             )
@@ -882,7 +868,7 @@ def fit_pipeline(
 
             lower_fit = _fit_generic(
                 head, _head_candidates(plan.x_lower, f_head, f_at), ["gamma_adj_l"],
-                {"gamma_adj_l": -0.5}, plan.lower_config, workers,
+                {"gamma_adj_l": -0.5}, plan.lower_config,
             )
             adjuster = lower_gpd_adjuster(lower_fit.theta["gamma_adj_l"], plan.x_lower)
             lower = LowerAdjustment(adjuster, plan.x_lower)

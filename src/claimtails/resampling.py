@@ -77,8 +77,7 @@ def bootstrap_fit(
 
     With `workers > 1`, up to `min(workers, B)` processes (this one and
     forked children, see `fork_map`) share the replicates, so `fit_closure`
-    must be a pure function of its resample, and should fit with
-    `workers=1` so that pools do not nest.
+    must be a pure function of its resample.
     """
     if B < 1:
         raise ValueError("B must be >= 1")

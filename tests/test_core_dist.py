@@ -103,6 +103,18 @@ class TestDensity:
     def test_pareto_density(self):
         assert ct.density(ct.pareto(1.0, 1.0), 2.0) == pytest.approx(0.25)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma", [1e-320, 1e-300, -1e-300, 1e-17, 1e-12, -1e-12])
+    def test_gpd_small_shapes(self, gamma):
+        # f = (1 + u)**(-1/gamma - 1)/sigma with u = gamma z/sigma, whose power
+        # rounds the shape's digits away as gamma -> 0
+        z = np.array([0.5, 5.0, 40.0])
+        u = gamma * z / 2.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.where(u == 0.0, np.exp(-z / 2.0), np.exp(-np.log1p(u) / gamma))
+        np.testing.assert_allclose(ct.density(ct.gpd(gamma, 2.0), z), s / (2.0 * (1.0 + u)),
+                                   rtol=1e-15, atol=0.0)
+
     def test_stepped_density_integrates_to_cdf(self):
         a1, a2, s1, s2, s3 = STEPPED.params
         total, err = quad(lambda x: ct.density(STEPPED, x), s1, s3,
@@ -125,6 +137,18 @@ class TestQuantile:
 
     def test_gpd_exponential_branch(self):
         assert ct.quantile(ct.gpd(0.0, 2.0), 1 - np.exp(-1)) == pytest.approx(2.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma", [1e-320, 1e-300, -1e-300, 1e-17, 1e-12, -1e-12])
+    def test_gpd_small_shapes(self, gamma):
+        # x = sigma (q**(-gamma) - 1)/gamma = sigma L (1 + w/2 + w**2/6 + ...)
+        # with L = -log q and w = gamma L; here |w| < 1e-10, so the first two
+        # terms are exact to rounding, but q**(-gamma) rounds to 1
+        p = np.array([0.1, 0.5, 0.99])
+        big_l = -np.log(1.0 - p)
+        exact = 2.0 * big_l * (1.0 + gamma * big_l / 2.0)
+        np.testing.assert_allclose(ct.quantile(ct.gpd(gamma, 2.0), p), exact,
+                                   rtol=1e-15, atol=0.0)
 
     def test_stepped_at_breakpoint(self):
         assert ct.quantile(STEPPED, 1 - 1 / 11) == pytest.approx(11.0, rel=1e-10)
@@ -168,6 +192,12 @@ class TestSample:
         np.testing.assert_array_equal(ct.sample(spec, 1000, seed=42).values, want)
         gen = ct.sample(spec, 1000, seed=np.random.default_rng(42))
         np.testing.assert_array_equal(gen.values, want)
+
+    def test_gpd_small_shape_draws_the_exponential_law(self):
+        # q**(-gamma) rounds to 1 at gamma = 1e-17, which once drew only zeros
+        s = ct.sample(ct.gpd(1e-17, 1.0), 1000, seed=8)
+        np.testing.assert_allclose(s.values, ct.sample(ct.exponential(1.0), 1000, seed=8).values,
+                                   rtol=1e-15, atol=0.0)
 
     def test_pareto_ks(self):
         spec = ct.pareto(1.0, 1.0)

@@ -1,6 +1,5 @@
 import os
 from collections import Counter
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from functools import partial
 
@@ -10,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import claimtails as ct
-from claimtails import estimation, parallel, resampling
+from claimtails import estimation, resampling
 from claimtails.estimation import FitFailedError, LogDomainError, MadConfig, Weighting, mad_weights
 from claimtails.tail_model import ModelInvalidError, head_cdf, tail_cdf
 
@@ -523,14 +522,8 @@ class TestPipeline:
         assert any("upper step skipped" in w for w in out.warnings)
 
 
-def _pipeline_outputs(s, plan, workers):
-    out = ct.fit_pipeline(s, plan, workers=workers)
-    steps = [fit.as_dict() for fit in (out.base_fit, out.upper_fit, out.lower_fit)]
-    return ct.model_to_json(out.model), out.theta, steps
-
-
-def _no_pool(*args, **kwargs):
-    raise AssertionError("no process pool expected")
+def _no_fork(*args, **kwargs):
+    raise AssertionError("no process expected")
 
 
 # the composite law of the benchmark's inputs: a GPD base, a shifted-Weibull
@@ -602,24 +595,15 @@ class TestUpperScan:
 
 
 class TestRestartWorkers:
-    """Forked workers share each step's restarts; results do not depend on how many."""
-
-    def test_pipeline_worker_count_invariance(self):
-        s, plan = TestPipeline.small_composite()
-        serial = _pipeline_outputs(s, plan, 1)
-        # theta, objective value, evaluation count and convergence of every step
-        assert all(step["evaluations"] > 0 for step in serial[2])
-        for workers in (2, 3, 7):
-            assert _pipeline_outputs(s, plan, workers) == serial, f"workers={workers}"
+    """Each step's restarts run in lockstep in this process."""
 
     @pytest.mark.parametrize("weighting", [Weighting.NORMALIZED, Weighting.UNWEIGHTED])
     def test_restart_record(self, weighting):
         s, plan = TestPipeline.small_composite()
         plan = replace(plan, base_config=MadConfig(weighting=weighting))
-        runs = [ct.fit_pipeline(s, plan, workers=workers) for workers in (1, 2, 3)]
+        out = ct.fit_pipeline(s, plan)
         for step in ("base_fit", "upper_fit", "lower_fit"):
-            fit = getattr(runs[0], step)
-            assert [getattr(out, step).restarts for out in runs[1:]] == [fit.restarts] * 2
+            fit = getattr(out, step)
             # the upper step adds a restart at each of its scan's lowest grid minima
             scan = estimation._SCAN_STARTS if step == "upper_fit" else 0
             assert len(fit.restarts) == fit.config.restarts + scan
@@ -630,48 +614,27 @@ class TestRestartWorkers:
             assert all(list(start) == list(fit.theta) for start, *_ in fit.restarts)
             assert "restarts" not in fit.as_dict()
 
-    def test_full_recovery_model_is_reproduced_on_two_workers(self):
-        s, plan = full_recovery_inputs()
-        assert ct.model_to_json(ct.fit_pipeline(s, plan, workers=2).model) == (
-            FULL_RECOVERY_MODEL_JSON
-        )
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_every_restart_penalised(self, workers, monkeypatch):
+    @pytest.mark.parametrize("restarts", [1, 5])
+    def test_every_restart_penalised(self, restarts, monkeypatch):
         objective = estimation.mad_objective
 
         def out_of_domain(sample, model, config):
             # every candidate's CDF is 1 at every fitted observation
-            return objective(sample, lambda x: np.ones(np.shape(model(x))), config)
+            def ones(x):
+                f, df = model(x)
+                return np.ones_like(f), df
+
+            return objective(sample, ones, config)
 
         monkeypatch.setattr(estimation, "mad_objective", out_of_domain)
         s = ct.sample(ct.gpd(0.5, 1.0), 200, seed=0)
         with pytest.raises(FitFailedError,
                            match="^every optimizer restart ended in the penalty region$"):
-            ct.fit_mad(s, ct.Family.GPD, workers=workers)
+            ct.fit_mad(s, ct.Family.GPD, config=MadConfig(restarts=restarts))
 
-    def test_dead_worker_raises(self, monkeypatch):
-        parent = os.getpid()
-        steps = estimation._bfgs_steps
-
-        def dies_in_worker(*args, **kwargs):
-            if os.getpid() != parent:
-                os._exit(3)
-            return steps(*args, **kwargs)
-
-        monkeypatch.setattr(estimation, "_bfgs_steps", dies_in_worker)
+    @pytest.mark.parametrize("restarts", [1, 5])
+    def test_fit_starts_no_process(self, restarts, monkeypatch):
+        monkeypatch.setattr(os, "fork", _no_fork)
         s = ct.sample(ct.gpd(0.5, 1.0), 200, seed=0)
-        with pytest.raises(BrokenProcessPool):
-            ct.fit_mad(s, ct.Family.GPD, workers=2)
-
-    @pytest.mark.parametrize("restarts,workers", [(5, 1), (1, 4)])
-    def test_one_worker_starts_no_process(self, restarts, workers, monkeypatch):
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _no_pool)
-        s = ct.sample(ct.gpd(0.5, 1.0), 200, seed=0)
-        fit = ct.fit_mad(s, ct.Family.GPD, config=MadConfig(restarts=restarts), workers=workers)
+        fit = ct.fit_mad(s, ct.Family.GPD, config=MadConfig(restarts=restarts))
         assert fit.evaluations > 0
-
-    def test_invalid_workers(self):
-        s = ct.sample(ct.gpd(0.5, 1.0), 200, seed=0)
-        with pytest.raises(ValueError, match="^workers must be >= 1$"):
-            ct.fit_mad(s, ct.Family.GPD, workers=0)

@@ -42,7 +42,7 @@ def objective_of(sample, candidates, config):
     def cdf(theta):
         # one candidate's CDF at the fitted observations
         columns = np.array([params_of(*theta)]).T[:, :, None]
-        return cdf_of(*columns)(sample.values[i_lo - 1 : i_hi])[0, 0]
+        return cdf_of(*columns)(sample.values[i_lo - 1 : i_hi])[0][0]
 
     evaluate.cdf = cdf
     return evaluate
