@@ -266,6 +266,7 @@ def _cpu_count() -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
+    seed = _cfg_int(cfg, "seed", minimum=0)
     sample = read_loss_csv(cfg["input"], cfg["column"])
     plan = _build_plan(cfg, sample)
     result = estimation.fit_pipeline(sample, plan)
@@ -277,7 +278,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "lower_fit": result.lower_fit.as_dict() if result.lower_fit else None,
         "warnings": list(result.warnings),
         "n": sample.n,
-        "seed": _cfg_int(cfg, "seed"),
+        "seed": seed,
     }
     write_json(out / "fit_report.json", report)
     # standalone model file, consumable by the qq and simulate subcommands
@@ -302,11 +303,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_tail_test(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     sample = read_loss_csv(cfg["input"], cfg["column"])
-    k = _cfg_int(cfg, "test_k")
+    k = _cfg_int(cfg, "test_k", minimum=3)
     if k is None:
         raise InputError("tail test needs --test-k")
     reps = _cfg_int(cfg, "test_reps", 10_000, minimum=1)
-    result = gof.pareto_tail_test(sample, k, reps=reps, seed=_cfg_int(cfg, "seed"))
+    result = gof.pareto_tail_test(sample, k, reps=reps, seed=_cfg_int(cfg, "seed", minimum=0))
     out = Path(cfg["out"])
     write_json(out / "tail_test.json", result.as_dict())
     print(f"m={result.m} k={result.k} p_value={result.p_value:.4f}")
@@ -321,7 +322,7 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
     # replicates on every CPU
     summary = resampling.bootstrap_fit(
         sample, lambda resample: estimation.fit_pipeline(resample, plan).theta,
-        B, _cfg_int(cfg, "seed"), keep_replicates=True, workers=_cpu_count(),
+        B, _cfg_int(cfg, "seed", minimum=0), keep_replicates=True, workers=_cpu_count(),
     )
     out = Path(cfg["out"])
     write_json(out / "bootstrap.json", summary.as_dict())
@@ -335,7 +336,7 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     out = Path(cfg["out"])
-    seed = _cfg_int(cfg, "seed")
+    seed = _cfg_int(cfg, "seed", minimum=0)
     mode = cfg.get("mode", "inflation")
     if mode == "inflation":
         sc = claim_process.InflationScenario(

@@ -35,10 +35,10 @@ class Kernel:
     the endpoints `left(*p)` and `right(*p)`, and `requires`: (predicate, requirement)
     pairs.  `start(values, fixed)` seeds a minimum-AD fit (None: no fitting
     support); `fixed` is what a fit holds constant unless told otherwise.  A
-    family with fitting support also has `dlog_survival(x, *p)`, the tuple of
-    the partial derivatives of log S(x) by each parameter, in `names` order.
-    Its survival and dlog_survival also take (k, 1) parameter columns, one
-    candidate per row (see `_power`).
+    family with fitting support also has `log_survival(x, *p)`, the pair of
+    log S(x) and the tuple of its partial derivatives by each parameter, in
+    `names` order.  Its survival and log_survival also take (k, 1) parameter
+    columns, one candidate per row (see `_power`).
     """
 
     names: tuple
@@ -48,7 +48,7 @@ class Kernel:
     density: Callable
     quantile: Callable
     start: Optional[Callable] = None
-    dlog_survival: Optional[Callable] = None
+    log_survival: Optional[Callable] = None
     right: Callable = lambda *p: np.inf
     fixed: dict = field(default_factory=dict)
 
@@ -59,10 +59,12 @@ def _pareto_start(v, fixed):
     return {"alpha": 1.0 / max(float(np.mean(logs)), 1e-6), "sigma": sigma}
 
 
-def _pareto_dlog_survival(xv, alpha, sigma):
-    # a tiny sigma makes sigma/x underflow to 0 and alpha/sigma overflow, where S is 0
+def _pareto_log_survival(xv, alpha, sigma):
+    # log S = alpha log(sigma/x) above sigma; a tiny sigma makes sigma/x
+    # underflow to 0 and alpha/sigma overflow, where S is 0
     with np.errstate(divide="ignore", over="ignore"):
-        return np.log(sigma / np.maximum(xv, sigma)), np.where(xv < sigma, 0.0, alpha / sigma)
+        log_ratio = np.log(sigma / np.maximum(xv, sigma))
+        return alpha * log_ratio, (log_ratio, np.where(xv < sigma, 0.0, alpha / sigma))
 
 
 def _power(base, exponent):
@@ -84,32 +86,20 @@ def _power(base, exponent):
     return out
 
 
-def _gpd_survival(xv, gamma, sigma, loc):
-    z = np.maximum(xv - loc, 0.0)
-    rows = isinstance(gamma, np.ndarray)  # a column of candidates picks a branch per row
-    small = abs(gamma) < 1e-6
-    if small.all() if rows else small:
-        return _gpd_small_shape_survival(z, gamma, sigma)
-    # a zero or subnormal gamma on a row of the small-shape branch gives an
-    # infinite exponent, and a zero one gives 0 * inf at x = inf
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t = np.maximum(1.0 + gamma * z / sigma, 0.0)
-        s = _power(t, -1.0 / gamma)
-    if rows and small.any():
-        return np.where(small, _gpd_small_shape_survival(z, gamma, sigma), s)
-    return s
+def _gpd_terms(xv, gamma, sigma, loc):
+    """(r, u, log1p(u), log S) of the GPD at xv, with r = z/sigma and u = gamma r.
 
-
-def _gpd_small_shape_survival(z, gamma, sigma):
-    # S = (1 + u)**(-1/gamma) = exp(-r log1p(u)/u) with r = z/sigma, u = gamma r:
-    # 1 + u rounds gamma's digits away as gamma -> 0, log1p(u) keeps them, and
-    # log1p(u)/u is 1 at u = 0 (gamma = 0 is the exponential law).  r is capped
-    # so that u stays finite at x = inf, and u at -1, beyond a negative shape's
-    # endpoint, where S = 0
-    r = np.minimum(z / sigma, 1e300)
-    u = np.maximum(gamma * r, -1.0)
+    S = (1 + u)**(-1/gamma) = exp(-r log1p(u)/u): 1 + u would round gamma's
+    digits away as gamma -> 0, log1p(u) keeps them, and log1p(u)/u is 1 at
+    u = 0 (gamma = 0 is the exponential law).  u takes r capped at 1e300, so
+    that it stays finite at x = inf, and is clamped at -1, beyond a negative
+    shape's endpoint, where S = 0.
+    """
+    r = np.maximum(xv - loc, 0.0) / sigma
+    u = np.maximum(gamma * np.minimum(r, 1e300), -1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.exp(-r * np.where(u == 0.0, 1.0, np.log1p(u) / u))
+        log1p_u = np.log1p(u)
+        return r, u, log1p_u, -r * np.where(u == 0.0, 1.0, log1p_u / u)
 
 
 # h(u) = (log1p(u) - u/(1+u)) / u**2 = sum over j >= 2 of (-1)**j (j-1)/j u**(j-2),
@@ -118,54 +108,40 @@ def _gpd_small_shape_survival(z, gamma, sigma):
 _H_SERIES = tuple((-1) ** j * (j - 1) / j for j in range(9, 1, -1))
 
 
-def _gpd_dlog_survival(xv, gamma, sigma, loc):
-    # log S = -log1p(u)/gamma with u = gamma*r, r = z/sigma: by gamma it is
-    # log1p(u)/gamma**2 - r/(gamma*(1+u)) = r**2 h(u), finite through gamma = 0;
-    # by sigma r/(sigma*(1+u)), by loc 1/(sigma*(1+u)) above loc
-    r = np.maximum(xv - loc, 0.0) / sigma
-    u = gamma * r
-    # 1 + u <= 0 lies beyond a negative shape's endpoint, where S = 0; u*u
+def _gpd_log_survival(xv, gamma, sigma, loc):
+    # by gamma log S = log1p(u)/gamma**2 - r/(gamma*(1+u)) = r**2 h(u), finite
+    # through gamma = 0; by sigma r/(sigma*(1+u)), by loc 1/(sigma*(1+u)) above loc
+    r, u, log1p_u, log_s = _gpd_terms(xv, gamma, sigma, loc)
+    # u = -1 lies at or beyond a negative shape's endpoint, where S = 0; u*u
     # underflows to 0 where the series takes over, and the series overflows
     # where the closed form holds
     small = (u < 1e-2) & (u > -1e-2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        h = (np.log1p(u) - u / (u + 1.0)) / (u * u)
+        h = (log1p_u - u / (u + 1.0)) / (u * u)
         if small.any():
             hs = _H_SERIES[0]
             for c in _H_SERIES[1:]:
                 hs = hs * u + c
             h = np.where(small, hs, h)
         t = 1.0 / ((u + 1.0) * sigma)
-    return h * r * r, r * t, np.where(r > 0.0, t, 0.0)
+    return log_s, (h * r * r, r * t, np.where(r > 0.0, t, 0.0))
 
 
 def _gpd_density(xv, gamma, sigma, loc):
-    z = xv - loc
-    if abs(gamma) < 1e-6:
-        # f = S/(sigma (1 + u)) with u = gamma z/sigma, from the small-shape
-        # survival (capped as there); S and 1 + u are 0 at a negative shape's
-        # endpoint
-        above = np.maximum(z, 0.0)
-        s = _gpd_small_shape_survival(above, gamma, sigma)
-        u = gamma * np.minimum(above / sigma, 1e300)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where((z < 0) | (u <= -1.0), 0.0, s / (sigma * (1.0 + u)))
-    t = 1.0 + gamma * np.maximum(z, 0.0) / sigma
-    inside = (z >= 0) & (t > 0)
+    # f = S/(sigma (1 + u)); S and 1 + u are 0 at a negative shape's endpoint
+    _, u, _, log_s = _gpd_terms(xv, gamma, sigma, loc)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(inside, np.power(np.maximum(t, 1e-300), -1.0 / gamma - 1.0) / sigma, 0.0)
+        return np.where((xv < loc) | (u <= -1.0), 0.0, np.exp(log_s) / (sigma * (1.0 + u)))
 
 
 def _gpd_quantile(q, gamma, sigma, loc):
-    if abs(gamma) < 1e-6:
-        # x = loc + sigma (q**(-gamma) - 1)/gamma, and q**(-gamma) rounds to 1 as
-        # gamma -> 0: with L = -log q it is loc + sigma L expm1(w)/w, w = gamma L,
-        # and expm1(w)/w is 1 at w = 0 (gamma = 0 is the exponential law)
-        big_l = -np.log(q)
-        w = gamma * big_l
-        with np.errstate(invalid="ignore"):
-            return loc + sigma * big_l * np.where(w == 0.0, 1.0, np.expm1(w) / w)
-    return loc + sigma * (np.power(q, -gamma) - 1.0) / gamma
+    # x = loc + sigma (q**(-gamma) - 1)/gamma, and q**(-gamma) rounds gamma's
+    # digits away as gamma -> 0: with L = -log q it is loc + sigma L expm1(w)/w,
+    # w = gamma L, and expm1(w)/w is 1 at w = 0 (gamma = 0 is the exponential law)
+    big_l = -np.log(q)
+    w = gamma * big_l
+    with np.errstate(invalid="ignore"):
+        return loc + sigma * big_l * np.where(w == 0.0, 1.0, np.expm1(w) / w)
 
 
 def _weibull_survival(xv, shift, sigma, beta):
@@ -174,16 +150,17 @@ def _weibull_survival(xv, shift, sigma, beta):
         return np.exp(-_power(np.maximum(xv - shift, 0.0) / sigma, beta))
 
 
-def _weibull_dlog_survival(xv, shift, sigma, beta):
+def _weibull_log_survival(xv, shift, sigma, beta):
     # log S = -y**beta with y = (x - shift)/sigma; at y = 0 every derivative is
-    # 0 (beta > 0), where y**beta * log y is 0 * -inf
+    # 0 (beta > 0), where y**beta * log y is 0 * -inf; far beyond sigma
+    # y**beta overflows to inf, where S is 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         y = np.maximum(xv - shift, 0.0) / sigma
         u = _power(y, beta)
         d_sigma = beta * u / sigma
         inside = y > 0.0
-        return (np.where(inside, d_sigma / y, 0.0), d_sigma,
-                np.where(inside, -u * np.log(y), 0.0))
+        return -u, (np.where(inside, d_sigma / y, 0.0), d_sigma,
+                    np.where(inside, -u * np.log(y), 0.0))
 
 
 def _weibull_density(xv, shift, sigma, beta):
@@ -261,7 +238,7 @@ KERNELS = {
         ),
         quantile=lambda q, alpha, sigma: sigma * np.power(q, -1.0 / alpha),
         start=_pareto_start,
-        dlog_survival=_pareto_dlog_survival,
+        log_survival=_pareto_log_survival,
     ),
     Family.GPD: Kernel(
         names=("gamma", "sigma", "loc"),
@@ -271,11 +248,11 @@ KERNELS = {
         ),
         left=lambda gamma, sigma, loc: loc,
         right=lambda gamma, sigma, loc: loc + sigma / (-gamma) if gamma < 0 else np.inf,
-        survival=_gpd_survival,
+        survival=lambda xv, gamma, sigma, loc: np.exp(_gpd_terms(xv, gamma, sigma, loc)[3]),
         density=_gpd_density,
         quantile=_gpd_quantile,
         start=lambda v, fixed: {"gamma": 0.5, "sigma": max(float(np.median(v - fixed["loc"])), 1e-12)},
-        dlog_survival=_gpd_dlog_survival,
+        log_survival=_gpd_log_survival,
         # the location is a known threshold, never a fitted quantity
         fixed={"loc": 0.0},
     ),
@@ -287,7 +264,8 @@ KERNELS = {
         density=lambda xv, sigma: np.where(xv < 0, 0.0, np.exp(-np.maximum(xv, 0.0) / sigma) / sigma),
         quantile=lambda q, sigma: -sigma * np.log(q),
         start=lambda v, fixed: {"sigma": float(np.mean(v))},
-        dlog_survival=lambda xv, sigma: (np.maximum(xv, 0.0) / (sigma * sigma),),
+        log_survival=lambda xv, sigma: (-np.maximum(xv, 0.0) / sigma,
+                                        (np.maximum(xv, 0.0) / (sigma * sigma),)),
     ),
     Family.SHIFTED_WEIBULL: Kernel(
         names=("shift", "sigma", "beta"),
@@ -298,7 +276,7 @@ KERNELS = {
         density=_weibull_density,
         quantile=lambda q, shift, sigma, beta: shift + sigma * np.power(-np.log(q), 1.0 / beta),
         start=_weibull_start,
-        dlog_survival=_weibull_dlog_survival,
+        log_survival=_weibull_log_survival,
     ),
     Family.STEPPED_PARETO: Kernel(
         names=("alpha1", "alpha2", "sigma1", "sigma2", "sigma3"),

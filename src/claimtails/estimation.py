@@ -23,23 +23,23 @@ from .core_dist import (
     check_params,
     shifted_weibull,
     spec_from_dict,
-    survival,
 )
 from .tail_model import (
     AdjustedModel,
     LowerAdjustment,
     UpperAdjustment,
     _check_p_upper,
-    _head_cdf,
+    _head_log_cdf,
     _lower_gpd_params,
-    _tail_cdf,
+    _tail_log_survival,
     adjusted_cdf,
     lower_gpd_adjuster,
 )
 
 
 class LogDomainError(ValueError):
-    """Model CDF hit 0 or 1 at an observation; carries the offending rank."""
+    """log F or log(1 - F) of the model is infinite at an observation, which
+    lies outside the model's support; carries the offending rank."""
 
     def __init__(self, rank: int):
         super().__init__(f"model CDF is degenerate at rank {rank}")
@@ -102,17 +102,25 @@ class FitResult:
         }
 
 
-def _degenerate(f: np.ndarray) -> np.ndarray:
-    """Where a CDF value is 0 or 1, so that one of its logs is infinite."""
-    return (f <= 0.0) | (f >= 1.0)
+def _log1mexp(v):
+    """log(1 - e**v) for v <= 0: log F from log S, and log S from log F;
+    -inf at v = 0."""
+    return np.log(-np.expm1(v))
 
 
-def _cdf_values(values: np.ndarray, model, first_rank: int = 1) -> tuple:
-    """Model CDF at `values`, the order statistics of ranks first_rank, ...,
-    and the list of its partial derivatives (None unless the model returns
-    the pair (F, [dF, ...])); raises LogDomainError with the rank of the
-    first value where the CDF is 0 or 1.  A (k, m) CDF, one candidate per
-    row, is returned unchecked."""
+def _log_survival(spec: DistributionSpec, x) -> np.ndarray:
+    """log S of a fitted family's `spec` at x, from its kernel's log_survival."""
+    return KERNELS[spec.family].log_survival(np.asarray(x, dtype=float), *spec.params)[0]
+
+
+def _log_values(values: np.ndarray, model) -> tuple:
+    """(log F, log S, dlog) of `model` at `values`.  A spec with a
+    `log_survival` kernel gives log S, and log F from it; a callable may
+    return the triple itself; any other model's CDF gives the logs of F and
+    1 - F.  dlog is None unless a callable returns it."""
+    if isinstance(model, DistributionSpec) and KERNELS[model.family].log_survival is not None:
+        log_s = _log_survival(model, values)
+        return _log1mexp(log_s), log_s, None
     if isinstance(model, DistributionSpec):
         f = cdf(model, values)
     elif isinstance(model, AdjustedModel):
@@ -122,11 +130,7 @@ def _cdf_values(values: np.ndarray, model, first_rank: int = 1) -> tuple:
         if isinstance(f, tuple):
             return f
     f = np.asarray(f)
-    if f.ndim == 1:
-        bad = np.nonzero(_degenerate(f))[0]
-        if bad.size:
-            raise LogDomainError(int(bad[0]) + first_rank)
-    return f, None
+    return np.log(f), np.log1p(-f), None
 
 
 def ad_statistic(sample: OrderedSample, model) -> float:
@@ -173,45 +177,46 @@ def mad_objective(sample: OrderedSample, model, config: MadConfig) -> float | np
     at a perfect EDF match.  The model is evaluated on the in-range order
     statistics only, so a callable model receives exactly those.
 
-    A callable model may also return a (k, m) array, the CDFs of k candidates
-    in its rows.  The value is then an array of the k candidates' values,
-    each bit for bit the one a candidate gets alone, with inf in each row
-    where the CDF is 0 or 1 (where one candidate raises LogDomainError).
+    The summands a log F + b log S, S = 1 - F, are taken in log space (see
+    `_log_values`), so an F that rounds to 1 keeps a finite log S.  Where
+    log F or log S is infinite, LogDomainError names the rank.
 
-    A model that returns a pair (F, [dF/dθ1, ..., dF/dθd]), the (k, m) CDFs
-    and their (k, m) partial derivatives by d parameters, gets (values,
-    gradients) back: the gradient of a candidate's value,
-    sum w (a/F - b/(1-F)) dF, is a row of the (k, d) array, again bit for bit
-    the one it gets alone, and 0 in a row where the CDF is 0 or 1.
+    A callable model may also return a triple (log F, log S, dlog) of (k, m)
+    arrays, one candidate per row, with dlog None or the list
+    [dlog S/dθ1, ..., dlog S/dθd] of their (k, m) partial derivatives by d
+    parameters.  The value is then an array of the k candidates' values,
+    each bit for bit the one a candidate gets alone, with inf in each row
+    where a log is infinite (where one candidate raises LogDomainError).
+    With dlog, (values, gradients) comes back: the gradient of a
+    candidate's value, sum w (b - a S/F) dlog S, is a row of the (k, d)
+    array, again bit for bit the one it gets alone, and 0 in an inf row.
     """
     n = sample.n
     i_lo, i_hi = config.resolve_ranks(n)
-    f, df = _cdf_values(sample.values[i_lo - 1 : i_hi], model, i_lo)
     a, b, w = _rank_terms(n, i_lo, i_hi, config.weighting)
-    degenerate = None
-    if f.ndim == 2 and not (f.min() > 0.0 and f.max() < 1.0):  # NaN comes here too
-        # keep the rows that reach 0 or 1 out of the logs, which would warn on them
-        degenerate = _degenerate(f).any(axis=1)
-        f = np.where(degenerate[:, None], 0.5, f)
-        if df is not None:
-            df = [np.where(degenerate[:, None], 0.0, d) for d in df]
-    s = a * np.log(f) + b * np.log1p(-f)
-    value = s.sum(axis=-1) / n if w is None else (w * s).sum(axis=-1)
-    if f.ndim == 1:
-        return float(value)
-    if degenerate is not None:
-        value[degenerate] = math.inf
-    if df is None:
-        return value
-    # the gradient, sum of w (a/F - b/(1-F)) dF; by a parameter far outside
-    # the fitted range (a Pareto scale of 1e-309, say) it can overflow, and
-    # an infinite or NaN gradient is left for the caller to refuse
-    r = a / f - b / (1.0 - f)
-    if w is not None:
-        r = w * r
-    with np.errstate(over="ignore", invalid="ignore"):
-        grad = np.array([(r * d).sum(axis=-1) for d in df])
-    return value, (grad.T / n if w is None else grad.T)
+    # a log that is infinite, or NaN, leaves its row's value non-finite, and
+    # the rows are told apart after the sums, without a RuntimeWarning
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_f, log_s, dlog = _log_values(sample.values[i_lo - 1 : i_hi], model)
+        s = a * log_f + b * log_s
+        value = s.sum(axis=-1) / n if w is None else (w * s).sum(axis=-1)
+        if log_f.ndim == 1:
+            if not math.isfinite(value):
+                raise LogDomainError(int(np.flatnonzero(~np.isfinite(s))[0]) + i_lo)
+            return float(value)
+        bad = ~np.isfinite(value)
+        value[bad] = math.inf
+        if dlog is None:
+            return value
+        # by a parameter far outside the fitted range (a Pareto scale of
+        # 1e-309, say) the gradient can overflow, and an infinite or NaN
+        # gradient is left for the caller to refuse
+        r = b - a * np.exp(log_s - log_f)
+        if w is not None:
+            r = w * r
+        grad = np.array([(r * d).sum(axis=-1) for d in dlog]).T
+    grad[bad] = 0.0
+    return value, (grad / n if w is None else grad)
 
 
 def _objective_direction(weighting: Weighting) -> float:
@@ -403,22 +408,22 @@ def _minimize_restarts(
 
 
 def _batch_objective(
-    sample: OrderedSample, params_of: Callable, cdf_of: Callable, config: MadConfig
+    sample: OrderedSample, params_of: Callable, model_of: Callable, config: MadConfig
 ) -> Callable:
     """The fit's objective of a list of candidates, each a list of natural
     values of the free parameters: a list of (value, gradient) pairs, the
     value minimized and the gradient a list of its partial derivatives by
     the free parameters.
 
-    `params_of(*theta)` maps one candidate to the tuple of floats its CDF
+    `params_of(*theta)` maps one candidate to the tuple of floats its model
     takes, and raises ValueError outside the model's domain; such a
-    candidate, and one whose CDF is 0 or 1 at a fitted observation, gets
-    (`_PENALTY`, None).  `cdf_of(*columns)` takes those parameters as (k, 1)
-    columns of k candidates and returns the model callable, with a
-    (F, [dF, ...]) result: the (k, m) CDFs and their partial derivatives by
-    the d free parameters.  The others go to `mad_objective` in batches of
-    at most `_BATCH_ELEMENTS` CDF elements (one candidate where the fitted
-    ranks alone are more).
+    candidate, and one with a fitted observation outside its support (an
+    infinite log F or log S), gets (`_PENALTY`, None).  `model_of(*columns)`
+    takes those parameters as (k, 1) columns of k candidates and returns the
+    model callable, with a (log F, log S, [dlog S, ...]) result: (k, m)
+    arrays, the derivatives by the d free parameters.  The others go to
+    `mad_objective` in batches of at most `_BATCH_ELEMENTS` elements (one
+    candidate where the fitted ranks alone are more).
     """
     direction = _objective_direction(config.weighting)
     i_lo, i_hi = config.resolve_ranks(sample.n)
@@ -435,7 +440,7 @@ def _batch_objective(
             at.append(j)
         for lo in range(0, len(rows), per_call):
             columns = np.array(rows[lo : lo + per_call]).T[:, :, None]
-            values, grads = mad_objective(sample, cdf_of(*columns), config)
+            values, grads = mad_objective(sample, model_of(*columns), config)
             for j, v, g in zip(at[lo : lo + per_call], values.tolist(), grads.tolist()):
                 if v != math.inf:
                     results[j] = (direction * v, [direction * d for d in g])
@@ -444,16 +449,8 @@ def _batch_objective(
     return objective
 
 
-def _times_survival(s: np.ndarray, dlog: np.ndarray) -> np.ndarray:
-    """dS = S dlog S, with its limit 0 where S underflows to 0 (there dlog S
-    may be infinite)."""
-    with np.errstate(invalid="ignore"):
-        ds = s * dlog
-    return np.where(s == 0.0, 0.0, ds) if not s.all() else ds
-
-
 def _family_candidates(family: Family, fixed: dict, free: Sequence[str]) -> tuple:
-    """(params_of, cdf_of) of `_batch_objective` for `family` with the
+    """(params_of, model_of) of `_batch_objective` for `family` with the
     parameters `fixed` held and `free` fitted, in that order."""
     kernel = KERNELS[family]
     # held parameters enter the kernel as floats, so only the free ones broadcast
@@ -466,45 +463,50 @@ def _family_candidates(family: Family, fixed: dict, free: Sequence[str]) -> tupl
         check_params(family, params)
         return params
 
-    def cdf_of(*params) -> Callable:
+    def model_of(*params) -> Callable:
         params = [held.get(i, p) for i, p in enumerate(params)]
 
         def model(x):
-            s = kernel.survival(x, *params)
-            dlog = kernel.dlog_survival(x, *params)
-            return 1.0 - s, [-_times_survival(s, dlog[i]) for i in at]
+            log_s, dlog = kernel.log_survival(x, *params)
+            return _log1mexp(log_s), log_s, [dlog[i] for i in at]
 
         return model
 
-    return params_of, cdf_of
+    return params_of, model_of
 
 
-def _tail_candidates(x_upper: float, s_tail: np.ndarray, s_at: float) -> tuple:
-    """(params_of, cdf_of) of `_batch_objective` for the upper step's
-    (p_upper, beta, sigma): the tail CDF of the fixed base, with survival
-    `s_tail` on the fitted tail and `s_at` at x_upper, mixed with a shifted
-    Weibull adjuster at x_upper."""
+def _tail_candidates(x_upper: float, ls_tail: np.ndarray, ls_at: float) -> tuple:
+    """(params_of, model_of) of `_batch_objective` for the upper step's
+    (p_upper, beta, sigma): the tail law of the fixed base, with log survival
+    `ls_tail` on the fitted tail and `ls_at` at x_upper, mixed with a shifted
+    Weibull adjuster at x_upper.  A step's models run inside
+    `mad_objective`, which keeps their infinities from warning."""
     shift = float(x_upper)
     kernel = KERNELS[Family.SHIFTED_WEIBULL]
-    c = s_tail / s_at
+    ls_rel = ls_tail - ls_at
 
     def params_of(p: float, beta: float, sigma: float) -> tuple:
         _check_p_upper(p)
         check_params(Family.SHIFTED_WEIBULL, (shift, sigma, beta))
         return p, sigma, beta
 
-    def cdf_of(p, sigma, beta) -> Callable:
+    def model_of(p, sigma, beta) -> Callable:
         def model(x):
-            # F = 1 - c (p S_a + 1 - p), with c = S_b / S_b(x_upper)
-            s_a = kernel.survival(x, shift, sigma, beta)
-            _, d_sigma, d_beta = kernel.dlog_survival(x, shift, sigma, beta)
-            f = _tail_cdf(p, s_a, s_tail, s_at)
-            return f, [c * (1.0 - s_a), -c * p * _times_survival(s_a, d_beta),
-                       -c * p * _times_survival(s_a, d_sigma)]
+            # log S = log S_b - log S_b(x_upper) + log m, m = p S_a + 1 - p:
+            # by p its derivative is (S_a - 1)/m, by an adjuster parameter
+            # (p S_a/m) dlog S_a, whose limit is 0 where S_a underflows to 0
+            # and dlog S_a may be infinite
+            log_a, (_, d_sigma, d_beta) = kernel.log_survival(x, shift, sigma, beta)
+            log_s = _tail_log_survival(p, log_a, ls_tail, ls_at)
+            minus_log_m = ls_rel - log_s
+            w = p * np.exp(log_a + minus_log_m)
+            return _log1mexp(log_s), log_s, [
+                np.expm1(log_a) * np.exp(minus_log_m),
+                *(np.where(w == 0.0, 0.0, w * d) for d in (d_beta, d_sigma))]
 
         return model
 
-    return params_of, cdf_of
+    return params_of, model_of
 
 
 # the upper step's scan grid: p_upper, the adjuster's beta, and at most
@@ -516,7 +518,7 @@ _SCAN_POINTS = 64
 _SCAN_STARTS = 2
 
 
-def _tail_scan(x_upper: float, values: np.ndarray, s_tail: np.ndarray, s_at: float,
+def _tail_scan(x_upper: float, values: np.ndarray, ls_tail: np.ndarray, ls_at: float,
                config: MadConfig) -> list:
     """Starts for the upper step besides its perturbed ones: the
     `_SCAN_STARTS` lowest local minima of its objective on a grid, as
@@ -535,7 +537,7 @@ def _tail_scan(x_upper: float, values: np.ndarray, s_tail: np.ndarray, s_at: flo
     # the upper step's label: its objective calls, the scan's among them,
     # are told apart from the other steps' by it
     points = OrderedSample.from_values(values[keep], label="upper tail")
-    s_points = s_tail[keep]
+    ls_points = ls_tail[keep]
     excess = points.values - x_upper
     sigmas = np.append(np.sqrt(excess[1:] * excess[:-1]), 2.0 * excess[-1])
     beta = np.repeat(_SCAN_BETA, sigmas.size)[:, None]
@@ -548,8 +550,9 @@ def _tail_scan(x_upper: float, values: np.ndarray, s_tail: np.ndarray, s_at: flo
         b, sg = beta[lo : lo + per_call], sigma[lo : lo + per_call]
 
         def model(x):
-            f = _tail_cdf(p, kernel.survival(x, x_upper, sg, b), s_points, s_at)
-            return f.reshape(-1, x.size)
+            log_a = kernel.log_survival(x, x_upper, sg, b)[0]
+            log_s = _tail_log_survival(p, log_a, ls_points, ls_at).reshape(-1, x.size)
+            return _log1mexp(log_s), log_s, None
 
         blocks.append(mad_objective(points, model, scan_config).reshape(p.size, -1))
     v = np.concatenate(blocks, axis=1)
@@ -566,30 +569,33 @@ def _tail_scan(x_upper: float, values: np.ndarray, s_tail: np.ndarray, s_at: flo
             for i, j, k in zip(*np.unravel_index(at, grid.shape))]
 
 
-def _head_candidates(x_lower: float, f_head: np.ndarray, f_at: float) -> tuple:
-    """(params_of, cdf_of) of `_batch_objective` for the lower step's
-    gamma_adj_l: the head CDF of the fixed base, with CDF `f_head` on the
-    fitted head and `f_at` at x_lower, times an endpoint-pinned GPD adjuster."""
+def _head_candidates(x_lower: float, lf_head: np.ndarray, lf_at: float) -> tuple:
+    """(params_of, model_of) of `_batch_objective` for the lower step's
+    gamma_adj_l: the head law of the fixed base, with log CDF `lf_head` on
+    the fitted head and `lf_at` at x_lower, times an endpoint-pinned GPD
+    adjuster."""
     kernel = KERNELS[Family.GPD]
-    c = f_head / f_at
 
     def params_of(gamma_adj: float) -> tuple:
         params = _lower_gpd_params(gamma_adj, x_lower)
         check_params(Family.GPD, params)
         return params
 
-    def cdf_of(gamma, sigma, loc) -> Callable:
+    def model_of(gamma, sigma, loc) -> Callable:
         def model(x):
-            # F = c F_a, with c = F_b / F_b(x_lower) and the adjuster's
-            # sigma = -gamma x_lower, so d/dgamma is d_gamma - x_lower d_sigma
-            s_a = kernel.survival(x, gamma, sigma, loc)
-            d_gamma, d_sigma, _ = kernel.dlog_survival(x, gamma, sigma, loc)
-            f = _head_cdf(1.0 - s_a, f_head, f_at)
-            return f, [-c * _times_survival(s_a, d_gamma - x_lower * d_sigma)]
+            # log F = log F_b - log F_b(x_lower) + log F_a, so dlog S =
+            # (F/S)(S_a/F_a) dlog S_a, and the adjuster's sigma = -gamma
+            # x_lower makes d/dgamma of log S_a d_gamma - x_lower d_sigma
+            log_a, (d_gamma, d_sigma, _) = kernel.log_survival(x, gamma, sigma, loc)
+            log_fa = _log1mexp(log_a)
+            log_f = _head_log_cdf(log_fa, lf_head, lf_at)
+            log_s = _log1mexp(log_f)
+            ratio = np.exp(log_f - log_s + log_a - log_fa)
+            return log_f, log_s, [ratio * (d_gamma - x_lower * d_sigma)]
 
         return model
 
-    return params_of, cdf_of
+    return params_of, model_of
 
 
 def _fit_generic(
@@ -601,7 +607,7 @@ def _fit_generic(
     extra: Sequence = (),
 ) -> FitResult:
     """Minimum-AD fit of `free_names`, whose `candidates` are the
-    (params_of, cdf_of) pair of `_batch_objective`; each point of `extra`, a
+    (params_of, model_of) pair of `_batch_objective`; each point of `extra`, a
     list of natural values of the free parameters, adds a restart."""
     fwd, inv, slope = zip(*map(_transform, free_names))
     bounds = config.bounds or {}
@@ -825,16 +831,16 @@ def fit_pipeline(sample: OrderedSample, plan: PipelinePlan) -> PipelineResult:
             }
             # a base the upper mixture cannot take fails here, not in every restart
             upper_model(x0)
-            # the base is fixed here: S_b on the fitted tail ranks and at
-            # x_upper, once per step
+            # the base is fixed here: log S_b on the fitted tail ranks and
+            # at x_upper, once per step
             i_lo, i_hi = plan.upper_config.resolve_ranks(tail.n)
-            s_tail = survival(base, tail.values[i_lo - 1 : i_hi])
-            s_at = survival(base, plan.x_upper)
+            ls_tail = _log_survival(base, tail.values[i_lo - 1 : i_hi])
+            ls_at = _log_survival(base, plan.x_upper)
 
             upper_fit = _fit_generic(
-                tail, _tail_candidates(plan.x_upper, s_tail, s_at), ["p_upper", "beta", "sigma"],
+                tail, _tail_candidates(plan.x_upper, ls_tail, ls_at), ["p_upper", "beta", "sigma"],
                 x0, plan.upper_config,
-                _tail_scan(plan.x_upper, tail.values[i_lo - 1 : i_hi], s_tail, s_at,
+                _tail_scan(plan.x_upper, tail.values[i_lo - 1 : i_hi], ls_tail, ls_at,
                            plan.upper_config),
             )
             p_hat = upper_fit.theta["p_upper"]
@@ -863,11 +869,11 @@ def fit_pipeline(sample: OrderedSample, plan: PipelinePlan) -> PipelineResult:
                     f"the smallest fitted head observation {x_min:g} (rank {i_lo}) is not "
                     f"above the base's left endpoint {base.left_endpoint:g}"
                 )
-            f_head = cdf(base, head.values[i_lo - 1 : i_hi])
-            f_at = cdf(base, plan.x_lower)
+            lf_head = _log1mexp(_log_survival(base, head.values[i_lo - 1 : i_hi]))
+            lf_at = _log1mexp(_log_survival(base, plan.x_lower))
 
             lower_fit = _fit_generic(
-                head, _head_candidates(plan.x_lower, f_head, f_at), ["gamma_adj_l"],
+                head, _head_candidates(plan.x_lower, lf_head, lf_at), ["gamma_adj_l"],
                 {"gamma_adj_l": -0.5}, plan.lower_config,
             )
             adjuster = lower_gpd_adjuster(lower_fit.theta["gamma_adj_l"], plan.x_lower)

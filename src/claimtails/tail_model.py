@@ -127,31 +127,38 @@ def adjusted_cdf(model: AdjustedModel, x) -> Union[float, np.ndarray]:
     return 1.0 - adjusted_survival(model, x)
 
 
-def _tail_cdf(p, s_a, s_b, s_at):
-    """`tail_cdf` from p = p_upper, S_a and S_b at x, and s_at = S_b(x_upper)."""
-    return 1.0 - _upper_survival(p, s_a, s_b) / s_at
+def _tail_log_survival(p, ls_a, ls_b, ls_at):
+    """log of 1 - `tail_cdf`, log S(x) - log S_b(x_upper), from p = p_upper,
+    log S_a and log S_b at x, and ls_at = log S_b(x_upper): the log of
+    `_upper_survival` over S_b(x_upper), log S_b - ls_at + log1p(p (S_a - 1)).
+    At p = 1 the last term is log S_a itself, which stays finite where S_a
+    underflows to 0."""
+    with np.errstate(divide="ignore"):  # log1p(-1) where S_a underflows at p = 1
+        log_m = np.log1p(p * np.expm1(ls_a))
+    if np.any(p == 1.0):
+        log_m = np.where(p == 1.0, ls_a, log_m)
+    return ls_b - ls_at + log_m
 
 
-def _head_cdf(f_a, f_b, f_at):
-    """`head_cdf` from F_a and F_b at x, and f_at = F_b(x_lower)."""
-    return _lower_cdf(f_a, f_b) / f_at
+def _head_log_cdf(lf_a, lf_b, lf_at):
+    """log of `head_cdf` from log F_a and log F_b at x, and lf_at = log F_b(x_lower):
+    the log of `_lower_cdf` over F_b(x_lower)."""
+    return lf_b - lf_at + lf_a
 
 
 def tail_cdf(model: AdjustedModel, x) -> Union[float, np.ndarray]:
     """CDF of the law conditioned on exceeding x_upper, 1 - S(x)/S_b(x_upper),
     for x >= x_upper (the adjuster leaves S(x_upper) = S_b(x_upper))."""
     u = model.upper
-    return _tail_cdf(
-        u.p_upper, survival(u.adjuster, x), survival(model.base, x),
-        survival(model.base, u.x_upper),
-    )
+    s_x = _upper_survival(u.p_upper, survival(u.adjuster, x), survival(model.base, x))
+    return 1.0 - s_x / survival(model.base, u.x_upper)
 
 
 def head_cdf(model: AdjustedModel, x) -> Union[float, np.ndarray]:
     """CDF of the law conditioned on falling below x_lower, F(x)/F_b(x_lower),
     for x <= x_lower."""
     lo = model.lower
-    return _head_cdf(cdf(lo.adjuster, x), cdf(model.base, x), cdf(model.base, lo.x_lower))
+    return _lower_cdf(cdf(lo.adjuster, x), cdf(model.base, x)) / cdf(model.base, lo.x_lower)
 
 
 def adjusted_quantile(model: AdjustedModel, p) -> Union[float, np.ndarray]:

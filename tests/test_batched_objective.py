@@ -1,6 +1,8 @@
-"""A fit evaluates its candidates in batches, one CDF row per candidate: each
-value equals, bit for bit, the one the candidate gets alone through its model
-object and the one-candidate `mad_objective`."""
+"""A fit evaluates its candidates in batches, one row per candidate: each
+value equals, bit for bit, the one the candidate gets in a batch of its own,
+and the one it gets alone through its model object and `mad_objective`: bit
+for bit for a family's spec, which takes the same log-space kernel, and to a
+stated bound for the adjuster steps, whose models are CDFs."""
 
 import warnings
 from functools import partial
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import claimtails as ct
 from claimtails import estimation
-from claimtails.core_dist import _power, spec_from_dict, survival
+from claimtails.core_dist import _power, spec_from_dict
 from claimtails.estimation import (
     _PENALTY,
     _BATCH_ELEMENTS,
@@ -21,6 +23,9 @@ from claimtails.estimation import (
     _batch_objective,
     _family_candidates,
     _head_candidates,
+    _log1mexp,
+    _log_survival,
+    _rank_terms,
     _tail_candidates,
     mad_objective,
 )
@@ -31,7 +36,7 @@ WEIGHTINGS = st.sampled_from(list(Weighting))
 
 def alone(sample, model_of, theta, config):
     """One candidate's value through the public model path: the penalty where
-    its model cannot be built or its CDF is 0 or 1 at a fitted observation."""
+    its model cannot be built or a log is infinite at a fitted observation."""
     direction = -1.0 if config.weighting == Weighting.UNWEIGHTED else 1.0
     try:
         return direction * mad_objective(sample, model_of(*theta), config)
@@ -39,14 +44,37 @@ def alone(sample, model_of, theta, config):
         return _PENALTY
 
 
-def assert_batch_matches(sample, candidates, model_of, thetas, config):
+def rounding_slack(sample, model, config):
+    """How far a value through a model that returns its CDF can stray for
+    F's own rounding: an error of eps in F moves log F by eps/F and
+    log(1 - F) by eps/(1 - F)."""
+    i_lo, i_hi = config.resolve_ranks(sample.n)
+    f = model(sample.values[i_lo - 1 : i_hi])
+    a, b, w = _rank_terms(sample.n, i_lo, i_hi, config.weighting)
+    terms = (a / f + b / (1.0 - f)) * np.finfo(float).eps
+    return terms.sum() / sample.n if w is None else np.abs(w * terms).sum()
+
+
+def assert_batch_matches(sample, candidates, model_of, thetas, config, rtol=0.0):
+    """Bit for bit at rtol 0; otherwise a penalised row is penalised alone,
+    and a value whose model path is finite agrees with it to rtol, plus the
+    model path's rounding slack."""
+    objective = _batch_objective(sample, *candidates, config)
     with warnings.catch_warnings():
-        # a row whose CDF is 0 or 1 is kept out of the logs
+        # a row with an infinite log raises no warning
         warnings.simplefilter("error", RuntimeWarning)
-        pairs = _batch_objective(sample, *candidates, config)([list(t) for t in thetas])
-    got = [value for value, _ in pairs]
+        got = [value for value, _ in objective([list(t) for t in thetas])]
+        own = [objective([list(t)])[0][0] for t in thetas]
+    assert np.array(got).tobytes() == np.array(own).tobytes(), (got, own)
     want = [alone(sample, model_of, t, config) for t in thetas]
-    assert np.array(got).tobytes() == np.array(want).tobytes(), (got, want)
+    if rtol == 0.0:
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (got, want)
+        return got
+    for theta, g, w in zip(thetas, got, want):
+        assert g != _PENALTY or w == _PENALTY, (got, want)
+        if w != _PENALTY:
+            slack = rounding_slack(sample, model_of(*theta), config)
+            assert abs(g - w) <= rtol * abs(w) + slack, (got, want, slack)
     return got
 
 
@@ -109,7 +137,7 @@ HEAD = ct.OrderedSample.from_values(SAMPLE.values[SAMPLE.values < X_LOWER], labe
 def tail_step(config):
     i_lo, i_hi = config.resolve_ranks(TAIL.n)
     candidates = _tail_candidates(
-        X_UPPER, survival(BASE, TAIL.values[i_lo - 1 : i_hi]), survival(BASE, X_UPPER)
+        X_UPPER, _log_survival(BASE, TAIL.values[i_lo - 1 : i_hi]), _log_survival(BASE, X_UPPER)
     )
 
     def model_of(p, beta, sigma):
@@ -122,7 +150,8 @@ def tail_step(config):
 def head_step(config):
     i_lo, i_hi = config.resolve_ranks(HEAD.n)
     candidates = _head_candidates(
-        X_LOWER, ct.cdf(BASE, HEAD.values[i_lo - 1 : i_hi]), ct.cdf(BASE, X_LOWER)
+        X_LOWER, _log1mexp(_log_survival(BASE, HEAD.values[i_lo - 1 : i_hi])),
+        _log1mexp(_log_survival(BASE, X_LOWER))
     )
 
     def model_of(gamma_adj):
@@ -131,6 +160,11 @@ def head_step(config):
 
     return candidates, model_of
 
+
+# the steps take log S and log F in log space, where `tail_cdf` and
+# `head_cdf` round F itself: where F is not 0 or 1 they agree to this bound
+# plus the rounding slack of F
+STEP_RTOL = 1e-14
 
 UPPER_CANDIDATE = st.tuples(
     st.one_of(st.sampled_from([0.0, 0.5, 1.0, -0.1, 1.1]), st.floats(-0.2, 1.2)),
@@ -149,7 +183,7 @@ LOWER_CANDIDATE = st.tuples(
 def test_upper_step_batches_match_one_candidate(thetas, weighting, rank_range):
     config = MadConfig(weighting=weighting, rank_range=rank_range)
     candidates, model_of = tail_step(config)
-    assert_batch_matches(TAIL, candidates, model_of, thetas, config)
+    assert_batch_matches(TAIL, candidates, model_of, thetas, config, STEP_RTOL)
 
 
 @settings(max_examples=100, deadline=None)
@@ -158,7 +192,7 @@ def test_upper_step_batches_match_one_candidate(thetas, weighting, rank_range):
 def test_lower_step_batches_match_one_candidate(thetas, weighting, rank_range):
     config = MadConfig(weighting=weighting, rank_range=rank_range)
     candidates, model_of = head_step(config)
-    assert_batch_matches(HEAD, candidates, model_of, thetas, config)
+    assert_batch_matches(HEAD, candidates, model_of, thetas, config, STEP_RTOL)
 
 
 def test_mixed_batch_penalises_only_its_bad_rows():
@@ -168,12 +202,12 @@ def test_mixed_batch_penalises_only_its_bad_rows():
         (-1.0, 0.5),  # outside the domain: alpha <= 0
         (1.5, float(sample.values[3])),  # CDF 0 at the three smallest observations
         (2.0, 0.9),  # valid, exponent 2
-        (1.0, 1e-300),  # CDF rounds to 1 at the largest observations
+        (1.0, 1e-300),  # CDF rounds to 1 at every observation, log S stays finite
         (0.5, 0.7),  # valid, exponent 0.5
     ]
     got = assert_batch_matches(sample, _family_candidates(family, fixed, free),
                                family_model(family, fixed, free), thetas, MadConfig())
-    assert [v == _PENALTY for v in got] == [False, True, True, False, True, False]
+    assert [v == _PENALTY for v in got] == [False, True, True, False, False, False]
 
 
 @pytest.mark.parametrize("exponent", [0.5, -1.0, 0.0, 1.0, 2.0, 1.7, -0.25])
@@ -193,8 +227,8 @@ def test_batches_hold_at_most_the_element_cap(n, rows, monkeypatch):
     shapes = []
 
     def recording(sample, model, config):
-        f, df = model(sample.values)
-        shapes.append([np.shape(a) for a in (f, *df)])
+        log_f, log_s, dlog = model(sample.values)
+        shapes.append([np.shape(a) for a in (log_f, log_s, *dlog)])
         return mad_objective(sample, model, config)
 
     monkeypatch.setattr(estimation, "mad_objective", recording)
@@ -203,6 +237,6 @@ def test_batches_hold_at_most_the_element_cap(n, rows, monkeypatch):
     _batch_objective(sample, *_family_candidates(family, fixed, free), MadConfig())(thetas)
     assert rows == max(1, _BATCH_ELEMENTS // n)
     sizes = [rows] * (13 // rows) + ([13 % rows] if 13 % rows else [])
-    # the CDFs, then their derivatives by gamma and sigma
-    assert shapes == [[(k, n)] * 3 for k in sizes]
+    # log F and log S, then the derivatives of log S by gamma and sigma
+    assert shapes == [[(k, n)] * 4 for k in sizes]
 

@@ -457,6 +457,13 @@ class TestInputNaming:
         (["simulate", "--mode", "inflation", "--years", "0"], "years must be >= 1, got 0"),
         (["tail-test", "--input", "LOSSES", "--test-k", "50", "--test-reps", "0"],
          "test_reps must be >= 1, got 0"),
+        (["tail-test", "--input", "LOSSES", "--test-k", "2"], "test_k must be >= 3, got 2"),
+        (["tail-test", "--input", "LOSSES", "--test-k", "50", "--seed", "-1"],
+         "seed must be >= 0, got -1"),
+        (["bootstrap", "--input", "LOSSES", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["simulate", "--mode", "thinning", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["simulate", "--mode", "inflation", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["fit", "--input", "LOSSES", "--seed", "-3"], "seed must be >= 0, got -3"),
     ])
     def test_count_below_minimum(self, argv, message, tmp_path, loss_csv, capsys):
         argv = [str(loss_csv) if a == "LOSSES" else a for a in argv]

@@ -44,6 +44,25 @@ class TestCdfSurvival:
                                    rtol=1e-15, atol=0.0)
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma", [1e-6, -1e-6])
+    def test_gpd_shapes_at_the_old_power_gate(self, gamma):
+        # the power form (1 + u)**(-1/gamma), u = gamma z/sigma, once took over
+        # at |gamma| = 1e-6 and lost ~1e-16/|gamma| relative there (3.3e-11
+        # at z = 5); log S = -(z/sigma) log1p(u)/u, and at |u| <= 5e-6 the
+        # series of log1p(u)/u to u**3 is exact to rounding
+        z = np.array([0.5, 2.0, 5.0])
+        u = gamma * z
+        log_s = -z * (1.0 - u / 2.0 + u * u / 3.0 - u * u * u / 4.0)
+        from claimtails.core_dist import KERNELS
+        kernel = KERNELS[ct.Family.GPD]
+        np.testing.assert_allclose(kernel.log_survival(z, gamma, 1.0, 0.0)[0], log_s,
+                                   rtol=1e-15, atol=0.0)
+        spec = ct.gpd(gamma, 1.0)
+        np.testing.assert_allclose(ct.survival(spec, z), np.exp(log_s), rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(ct.density(spec, z), np.exp(log_s) / (1.0 + u),
+                                   rtol=1e-15, atol=0.0)
+
+    @pytest.mark.filterwarnings("error")
     def test_gpd_shape_column_equals_its_rows(self):
         from claimtails.core_dist import KERNELS
         gammas = [1e-17, 0.5, 0.0, -0.3, 1e-9, -2e-7]
@@ -96,6 +115,45 @@ class TestCdfSurvival:
             assert ct.survival(spec, 1e15) < 1e-6 or spec.family == ct.Family.PARETO
 
 
+# parameters of each family with a log_survival kernel, in `names` order
+FITTED = {
+    "pareto": st.tuples(st.floats(0.1, 10.0), st.floats(0.01, 100.0)),
+    "gpd": st.tuples(st.floats(-2.0, 3.0), st.floats(0.01, 100.0), st.floats(0.0, 10.0)),
+    "exponential": st.tuples(st.floats(0.01, 100.0)),
+    "shifted_weibull": st.tuples(st.floats(0.0, 10.0), st.floats(0.01, 100.0),
+                                 st.floats(0.1, 10.0)),
+}
+
+
+class TestLogSurvival:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family", list(FITTED))
+    def test_log_survival_properties(self, family):
+        from claimtails.core_dist import KERNELS
+        kernel = KERNELS[ct.Family(family)]
+        eps = np.finfo(float).eps
+
+        @settings(max_examples=100)
+        @given(FITTED[family], st.lists(st.floats(0.0, 1e6), min_size=1, max_size=30))
+        def check(params, xs):
+            x = np.sort(np.array(xs))
+            log_s, dlog = kernel.log_survival(x, *params)
+            # non-increasing in x, to a few eps of its size (-inf beyond an endpoint)
+            with np.errstate(invalid="ignore"):
+                step = np.diff(log_s)
+            assert np.all((step <= 4 * eps * np.abs(log_s[1:])) | (log_s[1:] == log_s[:-1]))
+            # exp(log S) is the survival to a few eps relative per unit of |log S|
+            s = kernel.survival(x, *params)
+            with np.errstate(invalid="ignore"):
+                bound = 4 * eps * (1.0 - log_s) * s
+            assert np.all((np.abs(np.exp(log_s) - s) <= bound) | (np.exp(log_s) == s))
+            # every derivative is finite where S > 0
+            for d in dlog:
+                assert np.all(np.isfinite(np.broadcast_to(d, x.shape)[s > 0.0]))
+
+        check()
+
+
 class TestDensity:
     def test_exponential_at_zero(self):
         assert ct.density(ct.exponential(1.0), 0.0) == pytest.approx(1.0)
@@ -139,14 +197,15 @@ class TestQuantile:
         assert ct.quantile(ct.gpd(0.0, 2.0), 1 - np.exp(-1)) == pytest.approx(2.0)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("gamma", [1e-320, 1e-300, -1e-300, 1e-17, 1e-12, -1e-12])
+    @pytest.mark.parametrize("gamma", [1e-320, 1e-300, -1e-300, 1e-17, 1e-12, -1e-12, 1e-6, -1e-6])
     def test_gpd_small_shapes(self, gamma):
-        # x = sigma (q**(-gamma) - 1)/gamma = sigma L (1 + w/2 + w**2/6 + ...)
-        # with L = -log q and w = gamma L; here |w| < 1e-10, so the first two
-        # terms are exact to rounding, but q**(-gamma) rounds to 1
+        # x = sigma (q**(-gamma) - 1)/gamma = sigma L (1 + w/2 + w**2/6 + w**3/24 + ...)
+        # with L = -log q and w = gamma L; here |w| < 1e-5, so the first four
+        # terms are exact to rounding, but q**(-gamma) rounds gamma's digits away
         p = np.array([0.1, 0.5, 0.99])
         big_l = -np.log(1.0 - p)
-        exact = 2.0 * big_l * (1.0 + gamma * big_l / 2.0)
+        w = gamma * big_l
+        exact = 2.0 * big_l * (1.0 + w / 2.0 + w * w / 6.0 + w * w * w / 24.0)
         np.testing.assert_allclose(ct.quantile(ct.gpd(gamma, 2.0), p), exact,
                                    rtol=1e-15, atol=0.0)
 
@@ -305,7 +364,9 @@ class TestParameterDomain:
 # Kernel outputs recorded before the per-family formulas moved into one
 # table: the first 16 hex digits of the SHA-256 of the float64 values of
 # survival, cdf and density on GOLDEN_X, quantile on GOLDEN_P, and scalar
-# calls of all four; then the left and right endpoints.
+# calls of all four; then the left and right endpoints.  The GPD rows with
+# gamma != 0 were re-recorded when its survival, density and quantile took
+# the log1p/expm1 forms for every shape.
 GOLDEN_X = np.concatenate(([0.0, 1.0, 3.0, 5.0, 11.0, 52.0, 600.0], np.geomspace(1e-3, 1e6, 91)))
 GOLDEN_P = np.array([1e-12, 1e-6, 1e-3, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 1 - 1 / 11, 0.99, 0.999,
                      1 - 1e-6, 1 - 1e-12])
@@ -316,12 +377,12 @@ GOLDEN = {
                              "d8b3b90dc4c9459e", "25194bc7cdafb7ba", 1.0, np.inf),
     ("pareto", (2.5, 3.0)): ("e0537e0bf9da9057", "21ef089da85c7625", "9a1607ce770cc6af",
                              "e24c3075421c6286", "1c2f496b2f6e48fa", 3.0, np.inf),
-    ("gpd", (0.65, 600.0, 0.0)): ("8a8c5f1b28442962", "b7fc8524170ac1a5", "f99e16c4d045ca4c",
-                                  "e1bfefca34c64068", "253c7637e11c298c", 0.0, np.inf),
+    ("gpd", (0.65, 600.0, 0.0)): ("166b4c86a468a03a", "425714d676c21578", "b6042073d686633c",
+                                  "67a3c42b881952d7", "a374ba4e15f92296", 0.0, np.inf),
     ("gpd", (0.0, 1.0, 0.0)): ("654d420abb102a68", "023804b29666716b", "654d420abb102a68",
                                "83588e7cbd17f963", "61579135d4945745", 0.0, np.inf),
-    ("gpd", (-0.4, 2.0, 0.0)): ("72b5dbbfde634467", "cd051dcae9e9ef10", "76fedc32dec0d9d8",
-                                "f24e397bd85e4069", "78474264c82c557d", 0.0, 5.0),
+    ("gpd", (-0.4, 2.0, 0.0)): ("4a3c2c64cb95cde2", "e2dcff29cb41feac", "b782ce46bff7c2f6",
+                                "76a9eea88225ffab", "7a3fc00deeb78b79", 0.0, 5.0),
     ("exponential", (1.0,)): ("654d420abb102a68", "023804b29666716b", "654d420abb102a68",
                               "83588e7cbd17f963", "61579135d4945745", 0.0, np.inf),
     ("shifted_weibull", (3.0, 25.0, 2.0)): ("c2d9e89ad3f2cd15", "2cb966eca9616625",
@@ -330,10 +391,10 @@ GOLDEN = {
     ("stepped_pareto", (1.0, 1.42, 1.0, 11.0, 52.0)): ("8f6bc6ec31565cef", "c329fe55d8de89a9",
                                                        "8a85b4bdfe662f63", "7215512adb348ae6",
                                                        "9d11ba6452240c9f", 1.0, np.inf),
-    ("gpd", (0.3, 2.0, 1.5)): ("2afcc2524bdfa7b7", "4a650d6c9f5ccd3a", "e57f0080c5a7f75e",
-                               "d22b04d15bd7c63c", "db0b2db46206de2f", 1.5, np.inf),
-    ("gpd", (-0.5, 2.0, 1.0)): ("d30f03262a768642", "f03190fda2ce7249", "2c36db54cb95d366",
-                                "29f96f857e9ff470", "43bc04dc9604ad75", 1.0, 5.0),
+    ("gpd", (0.3, 2.0, 1.5)): ("af719257a42c1016", "ee3988b723f59074", "81f4f6cf1e67fa81",
+                               "e9b24eb35d58fee9", "8e22dddd8bfec8ca", 1.5, np.inf),
+    ("gpd", (-0.5, 2.0, 1.0)): ("613d5441e249a4a3", "7d09cbda6822f273", "bf581c2ff8925801",
+                                "9155c79e13012e38", "bda198eb75d9ffe2", 1.0, 5.0),
     ("shifted_weibull", (20.0, 30.0, 0.5)): ("b480c166b4c3fcac", "d182f252fe18eb0a",
                                              "dba13517d9c49880", "ca0ec82bd0ebbf82",
                                              "6cb4382b27bf862f", 20.0, np.inf),

@@ -107,7 +107,8 @@ class TestMadObjective:
 
     def test_out_of_range_degeneracy_is_ignored(self):
         # the benchmark's composite law; the candidate's CDF rounds to 1 at
-        # rank 49998, above the range, and lies inside (0, 1) on the range
+        # rank 49998, above the first range, and its log survival stays
+        # finite there, so both ranges have finite values
         truth = ct.AdjustedModel(
             ct.gpd(0.6, 1.0),
             ct.UpperAdjustment(ct.shifted_weibull(20.0, 30.0, 2.0), 0.5, 20.0),
@@ -118,9 +119,18 @@ class TestMadObjective:
         candidate = ct.gpd(0.1, 1.0)
         value = ct.mad_objective(s, candidate, MadConfig(rank_range=(8515, 49288)))
         assert np.isfinite(value)
-        with pytest.raises(LogDomainError) as info:
-            ct.mad_objective(s, candidate, MadConfig(rank_range=(8515, 50_000)))
-        assert info.value.rank == 49998
+        assert ct.cdf(candidate, s.values[49997]) == 1.0
+        whole = ct.mad_objective(s, candidate, MadConfig(rank_range=(8515, 50_000)))
+        assert np.isfinite(whole) and whole > value
+
+    def test_cdf_that_rounds_to_one_keeps_a_finite_value(self):
+        # a heavy Pareto(0.3) sample under a Pareto(1.5) candidate: F rounds
+        # to 1 from rank 99953 on, where log S = 1.5 log(1/x) is finite
+        s = ct.sample(ct.pareto(0.3, 1.0), 100_000, seed=1)
+        candidate = ct.pareto(1.5, 1.0)
+        assert ct.cdf(candidate, s.values[99952]) == 1.0 > ct.cdf(candidate, s.values[99951])
+        for weighting in Weighting:
+            assert np.isfinite(ct.mad_objective(s, candidate, MadConfig(weighting=weighting)))
 
 
 def reference_mad_objective(sample, cdf_fn, config):
@@ -329,14 +339,14 @@ def full_recovery_inputs():
     return s, ct.PipelinePlan(base_family=ct.Family.GPD, x_lower=30.0, x_upper=800.0)
 
 
-# recorded with the projected BFGS steps
+# recorded with the projected BFGS steps, then with the fit in log space
 FULL_RECOVERY_MODEL_JSON = (
     '{"base": {"family": "gpd", "params": {"gamma": 1.008761869415543, "loc": 0.0, '
-    '"sigma": 97.58165822626471}}, "lower": {"adjuster": {"family": "gpd", "params": '
-    '{"gamma": -0.7314034678154668, "loc": 0.0, "sigma": 21.942104034464005}}, '
+    '"sigma": 97.58165822626461}}, "lower": {"adjuster": {"family": "gpd", "params": '
+    '{"gamma": -0.7314034678146389, "loc": 0.0, "sigma": 21.94210403443917}}, '
     '"x_lower": 30.0}, "upper": {"adjuster": {"family": "shifted_weibull", "params": '
-    '{"beta": 1.9317517003990237, "shift": 800.0, "sigma": 2071.563072128596}}, '
-    '"p_upper": 0.6028004565387846, "x_upper": 800.0}}'
+    '{"beta": 1.9317516999358049, "shift": 800.0, "sigma": 2071.5630715434468}}, '
+    '"p_upper": 0.6028004564430982, "x_upper": 800.0}}'
 )
 
 
@@ -421,20 +431,21 @@ class TestPipeline:
         assert len(weight_calls) <= 3
 
     def test_bootstrap_replicates_are_reproduced(self):
-        # recorded with the projected BFGS steps and the upper step's scan
-        # starts; the first replicate's upper step ends on a ridge at the beta
-        # bound, where its value is flat to ~1e-9 relative along p_upper, so
-        # p_upper is loosely determined; the third ends on the bound itself
+        # recorded with the projected BFGS steps, the upper step's scan starts
+        # and the fit in log space; the first replicate's upper step ends on
+        # a ridge at the beta bound, where its value is flat to ~1e-9
+        # relative along p_upper, so p_upper is loosely determined; the third
+        # ends on the bound too
         recorded = [
-            {"gamma": 0.5250016384242906, "sigma": 0.9750144446860093,
-             "p_upper": 0.3796120834835504, "beta_adj_u": 99.99954122573415,
-             "sigma_adj_u": 20.206749729591575, "gamma_adj_l": -0.39131835874713544},
-            {"gamma": 0.5184657951928254, "sigma": 1.1099919645929694,
-             "p_upper": 0.32992435931548847, "beta_adj_u": 3.8020776748508123,
-             "sigma_adj_u": 2.909329778213568, "gamma_adj_l": -0.24972074436100608},
-            {"gamma": 0.6700798774502412, "sigma": 0.9086776301718371,
+            {"gamma": 0.5250016384242905, "sigma": 0.9750144446860092,
+             "p_upper": 0.3796112176096061, "beta_adj_u": 100.0,
+             "sigma_adj_u": 20.206748695328013, "gamma_adj_l": -0.39131835874713516},
+            {"gamma": 0.5184657902836243, "sigma": 1.1099919664713025,
+             "p_upper": 0.32992435332611114, "beta_adj_u": 3.802077764957307,
+             "sigma_adj_u": 2.9093297608263033, "gamma_adj_l": -0.24972074618225634},
+            {"gamma": 0.6700798774502413, "sigma": 0.908677630171837,
              "p_upper": 0.5668012456788248, "beta_adj_u": 100.0,
-             "sigma_adj_u": 11.83439524354227, "gamma_adj_l": -0.48666580250582125},
+             "sigma_adj_u": 11.83439524354227, "gamma_adj_l": -0.48666580250583014},
         ]
         s, plan = self.small_composite()
         for workers in (1, 2, 3):
@@ -590,8 +601,9 @@ class TestUpperScan:
         minima.sort(key=lambda at: values[at])
         lowest = minima[: estimation._SCAN_STARTS]
         want = [[grid[0][i], grid[1][j], grid[2][k]] for i, j, k in lowest]
-        s_tail, s_at = ct.survival(base, tail.values), ct.survival(base, 10.0)
-        assert estimation._tail_scan(10.0, tail.values, s_tail, s_at, config) == want
+        ls_tail = estimation._log_survival(base, tail.values)
+        ls_at = estimation._log_survival(base, 10.0)
+        assert estimation._tail_scan(10.0, tail.values, ls_tail, ls_at, config) == want
 
 
 class TestRestartWorkers:
@@ -621,8 +633,8 @@ class TestRestartWorkers:
         def out_of_domain(sample, model, config):
             # every candidate's CDF is 1 at every fitted observation
             def ones(x):
-                f, df = model(x)
-                return np.ones_like(f), df
+                log_f, log_s, dlog = model(x)
+                return np.zeros_like(log_f), np.full_like(log_s, -np.inf), dlog
 
             return objective(sample, ones, config)
 

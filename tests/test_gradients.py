@@ -1,4 +1,4 @@
-"""Closed-form gradients of the fit objective: the kernels' `dlog_survival`,
+"""Closed-form gradients of the fit objective: the kernels' `log_survival`,
 the three steps' chain rules and `mad_objective`'s sum.  Each gradient
 matches central differences of the value, a batched row equals the gradient
 the candidate gets alone bit for bit, and the extreme candidates a line
@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import claimtails as ct
-from claimtails.core_dist import KERNELS, survival
+from claimtails.core_dist import KERNELS
 from claimtails.estimation import (
     _PENALTY,
     MadConfig,
@@ -22,6 +22,8 @@ from claimtails.estimation import (
     _batch_objective,
     _family_candidates,
     _head_candidates,
+    _log1mexp,
+    _log_survival,
     _tail_candidates,
 )
 
@@ -31,7 +33,7 @@ WEIGHTINGS = st.sampled_from(list(Weighting))
 def objective_of(sample, candidates, config):
     """The batch objective, with every `RuntimeWarning` raised as an error."""
     objective = _batch_objective(sample, *candidates, config)
-    params_of, cdf_of = candidates
+    params_of, model_of = candidates
     i_lo, i_hi = config.resolve_ranks(sample.n)
 
     def evaluate(thetas):
@@ -40,9 +42,9 @@ def objective_of(sample, candidates, config):
             return objective([list(t) for t in thetas])
 
     def cdf(theta):
-        # one candidate's CDF at the fitted observations
+        # one candidate's CDF at the fitted observations, from its log
         columns = np.array([params_of(*theta)]).T[:, :, None]
-        return cdf_of(*columns)(sample.values[i_lo - 1 : i_hi])[0][0]
+        return np.exp(model_of(*columns)(sample.values[i_lo - 1 : i_hi])[0][0])
 
     evaluate.cdf = cdf
     return evaluate
@@ -166,7 +168,7 @@ HEAD = ct.OrderedSample.from_values(SAMPLE.values[SAMPLE.values < X_LOWER], labe
 def upper_objective(config):
     i_lo, i_hi = config.resolve_ranks(TAIL.n)
     candidates = _tail_candidates(
-        X_UPPER, survival(BASE, TAIL.values[i_lo - 1 : i_hi]), survival(BASE, X_UPPER)
+        X_UPPER, _log_survival(BASE, TAIL.values[i_lo - 1 : i_hi]), _log_survival(BASE, X_UPPER)
     )
     return objective_of(TAIL, candidates, config)
 
@@ -174,7 +176,8 @@ def upper_objective(config):
 def lower_objective(config):
     i_lo, i_hi = config.resolve_ranks(HEAD.n)
     candidates = _head_candidates(
-        X_LOWER, ct.cdf(BASE, HEAD.values[i_lo - 1 : i_hi]), ct.cdf(BASE, X_LOWER)
+        X_LOWER, _log1mexp(_log_survival(BASE, HEAD.values[i_lo - 1 : i_hi])),
+        _log1mexp(_log_survival(BASE, X_LOWER))
     )
     return objective_of(HEAD, candidates, config)
 
@@ -209,7 +212,9 @@ def test_step_gradient_rows_match_one_candidate(uppers, lowers, weighting):
 @pytest.mark.parametrize("gamma", [1e-300, -1e-300, 1e-12, -1e-12, 1e-6, -1e-6])
 def test_gpd_gradient_is_continuous_through_gamma_zero(gamma):
     x = np.geomspace(1e-3, 30.0, 200)
-    dlog = KERNELS[ct.Family.GPD].dlog_survival
+    def dlog(*args):
+        return KERNELS[ct.Family.GPD].log_survival(*args)[1]
+
     at_zero = dlog(x, 0.0, 2.0, 0.0)
     near = dlog(x, gamma, 2.0, 0.0)
     # at gamma = 0, d/dgamma log S = (z/sigma)**2 / 2 and d/dsigma = z/sigma**2
@@ -242,9 +247,9 @@ def test_overflowing_adjuster_gives_its_limits():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert not weibull.survival(TAIL.values, X_UPPER, 1e-6, 100.0).any()
-        _, d_sigma, d_beta = weibull.dlog_survival(TAIL.values, X_UPPER, 1e-6, 100.0)
+        _, d_sigma, d_beta = weibull.log_survival(TAIL.values, X_UPPER, 1e-6, 100.0)[1]
         # at the shift itself every derivative is 0
-        at_shift = weibull.dlog_survival(np.array([X_UPPER]), X_UPPER, 2.0, 0.7)
+        at_shift = weibull.log_survival(np.array([X_UPPER]), X_UPPER, 2.0, 0.7)[1]
     assert np.all(d_beta == -np.inf) and np.all(d_sigma == np.inf)
     assert [float(d[0]) for d in at_shift] == [0.0, 0.0, 0.0]
     for weighting in Weighting:

@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 import claimtails as ct
+from claimtails.estimation import _log1mexp, _log_survival
 from claimtails.tail_model import (
     ModelInvalidError,
     ProbeTooFarError,
-    _head_cdf,
-    _tail_cdf,
+    _head_log_cdf,
+    _tail_log_survival,
     head_cdf,
     tail_cdf,
 )
@@ -114,28 +115,53 @@ class TestConditionalLaws:
         eps = np.finfo(float).eps
         assert np.max(np.abs(scaled - ct.adjusted_cdf(m, x))) <= 4 * eps
 
-    # the pipeline evaluates the fixed base once per step and passes its values
+    # the pipeline's steps take the fixed base's logs, once per step, and go
+    # through the log-space branch formulas; tail_cdf and head_cdf round F
     @settings(max_examples=100)
     @given(upper_models(), st.lists(st.floats(1.0, 100.0), min_size=1,
                                     max_size=20).map(np.array))
-    def test_tail_cdf_from_base_values_bit_for_bit(self, m, ratio):
+    def test_tail_log_survival_matches_tail_cdf(self, m, ratio):
         x = m.upper.x_upper * ratio
-        s_base = ct.survival(m.base, x)
-        s_at = ct.survival(m.base, m.upper.x_upper)
-        s_adj = ct.survival(m.upper.adjuster, x)
-        np.testing.assert_array_equal(
-            _tail_cdf(m.upper.p_upper, s_adj, s_base, s_at), tail_cdf(m, x)
-        )
+        logs = [_log_survival(m.upper.adjuster, x), _log_survival(m.base, x),
+                _log_survival(m.base, m.upper.x_upper)]
+        log_s = _tail_log_survival(m.upper.p_upper, *logs)
+        eps = np.finfo(float).eps
+        assert np.all(log_s <= 0.0)
+        assert np.max(np.abs(-np.expm1(log_s) - tail_cdf(m, x))) <= 4 * eps
+        # the survival ratio itself: each log is off by a few eps of its size,
+        # and log1p(p (S_a - 1)) by a few eps of 1/m, m = p S_a + 1 - p
+        s = ct.adjusted_survival(m, x) / ct.survival(m.base, m.upper.x_upper)
+        scale = 1.0 + sum(np.abs(v) for v in logs)
+        mix = m.upper.p_upper * ct.survival(m.upper.adjuster, x) + (1.0 - m.upper.p_upper)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = 16 * eps * (scale + 1.0 / mix) * s
+        assert np.all((np.abs(np.exp(log_s) - s) <= bound) | (np.exp(log_s) == s))
+
+    def test_full_transition_keeps_the_adjuster_log(self):
+        # at p = 1 the mixture is S_a itself: its log stays finite where S_a
+        # underflows to 0
+        got = _tail_log_survival(1.0, np.array([-0.5, -800.0]), np.array([-2.0, -3.0]), -1.0)
+        np.testing.assert_array_equal(got, [-1.5, -802.0])
 
     @settings(max_examples=100)
     @given(lower_models(), st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1,
                                     max_size=20).map(np.array))
-    def test_head_cdf_from_base_values_bit_for_bit(self, m, frac):
+    def test_head_log_cdf_matches_head_cdf(self, m, frac):
         x = m.lower.x_lower * frac
-        f_base = ct.cdf(m.base, x)
-        f_at = ct.cdf(m.base, m.lower.x_lower)
-        f_adj = ct.cdf(m.lower.adjuster, x)
-        np.testing.assert_array_equal(_head_cdf(f_adj, f_base, f_at), head_cdf(m, x))
+        with np.errstate(divide="ignore"):  # F_b is 0 at the base's left endpoint
+            logs = [_log1mexp(_log_survival(m.lower.adjuster, x)),
+                    _log1mexp(_log_survival(m.base, x)),
+                    _log1mexp(_log_survival(m.base, m.lower.x_lower))]
+        f = head_cdf(m, x)
+        log_f = _head_log_cdf(*logs)
+        # where head_cdf is positive: each log is off by a few eps of its
+        # size, and head_cdf's factors, each 1 - S, by eps absolute
+        inside = f > 0.0
+        parts = [ct.cdf(m.lower.adjuster, x), ct.cdf(m.base, x), ct.cdf(m.base, m.lower.x_lower)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = 1.0 + sum(np.abs(v) + 1.0 / p for v, p in zip(logs, parts))
+            bound = 16 * np.finfo(float).eps * scale * f
+        assert np.all(np.abs(np.exp(log_f) - f)[inside] <= bound[inside])
 
 
 class TestAdjustedQuantile:
