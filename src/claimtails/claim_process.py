@@ -13,7 +13,7 @@ from .core_dist import (
     OrderedSample,
     as_generator,
     draw,
-    invert_cdf,
+    exponential,
     pareto,
 )
 from .tail_model import AdjustedModel
@@ -86,12 +86,18 @@ def thinned_cdf_closed(sigma: float, sigma_t: float, x):
 
 
 def sample_thinned(sigma: float, sigma_t: float, n: int, seed) -> OrderedSample:
-    """Inverse-transform sample of the closed-form thinned law.
+    """Sample of the thinned law of `thinned_cdf_closed`.
 
-    Uniforms are clipped to [1e-12, 1-1e-12] and inverted on [1e-12, 1e3].
+    Its density, proportional to e^{-x/sigma} (1 - e^{-x/sigma_t}), is that
+    of E1 + E2 with E1 ~ Exp(mean sigma) and E2 ~ Exp(mean
+    sigma sigma_t/(sigma+sigma_t)), which are drawn in that order.
     """
-    u = np.clip(as_generator(seed).random(n), 1e-12, 1 - 1e-12)
-    values = invert_cdf(lambda x: thinned_cdf_closed(sigma, sigma_t, x), u, 1e-12, 1e3)
+    if sigma <= 0 or sigma_t <= 0:
+        raise ValueError("sigma and sigma_t must be positive")
+    rng = as_generator(seed)
+    values = draw(exponential(sigma), n, rng) + draw(
+        exponential(sigma * sigma_t / (sigma + sigma_t)), n, rng
+    )
     return OrderedSample.from_values(values, label="thinned sample")
 
 

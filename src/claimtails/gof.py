@@ -73,29 +73,29 @@ def _tail_m(values_sorted: np.ndarray, sigma: float, alpha: float) -> int:
 _BLOCK_BYTES = 4 * 2**20
 
 
-def _simulated_m(
-    rng: np.random.Generator, sims: np.ndarray, sigma: float, gamma_hat: float
-) -> np.ndarray:
+def _simulated_m(rng: np.random.Generator, sims: np.ndarray) -> np.ndarray:
     """Longest-run statistics of simulated Pareto tails of size k, one per
     row of the C-contiguous rows x (k+1) float buffer `sims`, which it
-    overwrites."""
+    overwrites.
+
+    The statistic is pivotal: with Y = log(X/sigma)/gamma_hat standard
+    exponential, a replicate's Hill estimate is gamma_hat*mean(Y), and its
+    comparison i/(k+1) > 1 - (X/sigma)^(-1/gamma_rep) is Y_i/mean(Y) < c_i
+    with c_i = -log(1 - i/(k+1)); neither sigma nor gamma_hat enters.
+    """
     # mirror the observed procedure: the data tail is the top k of the k+1
     # exceedances above the threshold order statistic, so each replicate
     # draws k+1 and drops the smallest
     rng.random(out=sims)
     np.clip(sims, 1e-16, 1 - 1e-16, out=sims)
-    # ratio forms, not the Pareto kernel's sigma*q^(-1/alpha) and
-    # (sigma/x)^alpha: those differ in the last bit on many points, which
-    # can flip an EDF comparison and move recorded p-values
-    np.power(sims, -gamma_hat, out=sims)
-    np.multiply(sigma, sims, out=sims)
+    np.log(sims, out=sims)
+    np.negative(sims, out=sims)
     sims.sort(axis=1)
-    ratio = np.divide(sims[:, 1:], sigma, out=sims[:, 1:])
-    # per-replicate Hill re-estimation with the same fixed scale
-    gamma_rep = np.mean(np.log(ratio), axis=1)
-    model = np.power(ratio, -1.0 / gamma_rep[:, None], out=ratio)
-    np.subtract(1.0, model, out=model)
-    return _longest_runs_rows(edf_positions(sims.shape[1] - 1)[None, :] > model)
+    y = sims[:, 1:]
+    # divided in place: comparing against mean*c would allocate a second
+    # rows x k float matrix per block
+    y /= y.mean(axis=1)[:, None]
+    return _longest_runs_rows(y < -np.log1p(-edf_positions(y.shape[1])))
 
 
 def pareto_tail_test(
@@ -132,7 +132,7 @@ def pareto_tail_test(
     buf = np.empty((min(rows, reps), k + 1))
     exceed = 0
     for start in range(0, reps, rows):
-        m_sim = _simulated_m(rng, buf[: reps - start], sigma, gamma_hat)
+        m_sim = _simulated_m(rng, buf[: reps - start])
         exceed += int(np.sum(m_sim >= m_obs))
     p_value = exceed / reps
     return TailTestResult(k, m_obs, alpha_hat, sigma, p_value, reps, seed)
@@ -158,29 +158,25 @@ def qq_coordinates(
         model = AdjustedModel(model)
     n = sample.n
     pos = edf_positions(n)
-    theo_q = adjusted_quantile(model, pos)
-    f_emp = np.asarray(adjusted_cdf(model, sample.values))
     if margins == Margins.ORIGINAL:
-        theoretical = theo_q
+        theoretical = adjusted_quantile(model, pos)
         empirical = sample.values.astype(float)
-        keep = np.ones(n, dtype=bool)
-    elif margins == Margins.STANDARD_NORMAL:
-        # ndtri is norm.ppf bit for bit on (0, 1) without loading scipy.stats
-        from scipy.special import ndtri
-
+        dropped = 0
+    else:
+        if margins == Margins.STANDARD_NORMAL:
+            # ndtri is norm.ppf bit for bit on (0, 1) without loading scipy.stats
+            from scipy.special import ndtri as to_margin
+        else:
+            def to_margin(f):  # standard Frechet: z = -1/ln F
+                return -1.0 / np.log(f)
+        f_emp = np.asarray(adjusted_cdf(model, sample.values))
         keep = (f_emp > 0.0) & (f_emp < 1.0)
-        theoretical = ndtri(pos)
-        empirical = np.full(n, np.nan)
-        empirical[keep] = ndtri(f_emp[keep])
-    else:  # standard Frechet: z = -1/ln F
-        keep = (f_emp > 0.0) & (f_emp < 1.0)
-        theoretical = -1.0 / np.log(pos)
-        empirical = np.full(n, np.nan)
-        empirical[keep] = -1.0 / np.log(f_emp[keep])
-    dropped = int(n - np.sum(keep))
+        theoretical = to_margin(pos)[keep]
+        empirical = to_margin(f_emp[keep])
+        dropped = int(n - np.sum(keep))
     return {
-        "theoretical": theoretical[keep],
-        "empirical": empirical[keep],
+        "theoretical": theoretical,
+        "empirical": empirical,
         "dropped": dropped,
         "margins": margins,
     }

@@ -128,9 +128,10 @@ def adjusted_cdf(model: AdjustedModel, x) -> Union[float, np.ndarray]:
 
 
 def _tail_log_survival(p, ls_a, ls_b, ls_at):
-    """log of 1 - `tail_cdf`, log S(x) - log S_b(x_upper), from p = p_upper,
-    log S_a and log S_b at x, and ls_at = log S_b(x_upper): the log of
-    `_upper_survival` over S_b(x_upper), log S_b - ls_at + log1p(p (S_a - 1)).
+    """log S(x) - log S_b(x_upper), the log survival of the law conditioned on
+    exceeding x_upper, from p = p_upper, log S_a and log S_b at x, and
+    ls_at = log S_b(x_upper): the log of `_upper_survival` over S_b(x_upper),
+    log S_b - ls_at + log1p(p (S_a - 1)).
     At p = 1 the last term is log S_a itself, which stays finite where S_a
     underflows to 0."""
     with np.errstate(divide="ignore"):  # log1p(-1) where S_a underflows at p = 1
@@ -141,24 +142,10 @@ def _tail_log_survival(p, ls_a, ls_b, ls_at):
 
 
 def _head_log_cdf(lf_a, lf_b, lf_at):
-    """log of `head_cdf` from log F_a and log F_b at x, and lf_at = log F_b(x_lower):
-    the log of `_lower_cdf` over F_b(x_lower)."""
+    """log of the CDF conditioned on falling below x_lower, F(x)/F_b(x_lower),
+    from log F_a and log F_b at x, and lf_at = log F_b(x_lower): the log of
+    `_lower_cdf` over F_b(x_lower)."""
     return lf_b - lf_at + lf_a
-
-
-def tail_cdf(model: AdjustedModel, x) -> Union[float, np.ndarray]:
-    """CDF of the law conditioned on exceeding x_upper, 1 - S(x)/S_b(x_upper),
-    for x >= x_upper (the adjuster leaves S(x_upper) = S_b(x_upper))."""
-    u = model.upper
-    s_x = _upper_survival(u.p_upper, survival(u.adjuster, x), survival(model.base, x))
-    return 1.0 - s_x / survival(model.base, u.x_upper)
-
-
-def head_cdf(model: AdjustedModel, x) -> Union[float, np.ndarray]:
-    """CDF of the law conditioned on falling below x_lower, F(x)/F_b(x_lower),
-    for x <= x_lower."""
-    lo = model.lower
-    return _lower_cdf(cdf(lo.adjuster, x), cdf(model.base, x)) / cdf(model.base, lo.x_lower)
 
 
 def adjusted_quantile(model: AdjustedModel, p) -> Union[float, np.ndarray]:

@@ -2,7 +2,12 @@
 
 import math
 
+import numpy as np
 from scipy.integrate import quad
+
+from claimtails.core_dist import cdf, edf_positions, survival
+from claimtails.gof import _longest_runs_rows
+from claimtails.tail_model import _lower_cdf, _upper_survival
 
 
 def quadrature_thinned_cdf(sigma: float, sigma_t: float, x: float) -> float:
@@ -16,3 +21,42 @@ def quadrature_thinned_cdf(sigma: float, sigma_t: float, x: float) -> float:
     num, _ = quad(filed, 0.0, x, epsabs=1e-12, epsrel=1e-12, limit=200)
     den, _ = quad(filed, 0.0, math.inf, epsabs=1e-12, epsrel=1e-12, limit=200)
     return num / den
+
+
+def tail_cdf(model, x):
+    """CDF of the law conditioned on exceeding x_upper, 1 - S(x)/S_b(x_upper),
+    for x >= x_upper (the adjuster leaves S(x_upper) = S_b(x_upper)), in the
+    F domain that the fit steps' log-space `_tail_log_survival` replaces."""
+    u = model.upper
+    s_x = _upper_survival(u.p_upper, survival(u.adjuster, x), survival(model.base, x))
+    return 1.0 - s_x / survival(model.base, u.x_upper)
+
+
+def head_cdf(model, x):
+    """CDF of the law conditioned on falling below x_lower, F(x)/F_b(x_lower),
+    for x <= x_lower, in the F domain that the fit steps' log-space
+    `_head_log_cdf` replaces.
+
+    Each factor is computed as 1 - S, so a tiny F rounds to 0: under a
+    GPD(1, 1) base with a GPD(-1, 1) lower adjuster at x_lower = 1, this
+    returns 0 at x = 2.5e-19, where `_head_log_cdf` gives log(1.3e-37).
+    """
+    lo = model.lower
+    return _lower_cdf(cdf(lo.adjuster, x), cdf(model.base, x)) / cdf(model.base, lo.x_lower)
+
+
+def pareto_simulated_m(rng, sims, sigma, gamma_hat):
+    """Longest-run statistics of tail-test replicates computed on the Pareto
+    scale: each row of `sims` (overwritten) becomes k+1 Pareto(1/gamma_hat,
+    sigma) draws, the smallest is dropped, gamma is Hill re-estimated at
+    sigma, and the EDF positions are compared with 1 - (X/sigma)^(-1/gamma)."""
+    rng.random(out=sims)
+    np.clip(sims, 1e-16, 1 - 1e-16, out=sims)
+    np.power(sims, -gamma_hat, out=sims)
+    np.multiply(sigma, sims, out=sims)
+    sims.sort(axis=1)
+    ratio = np.divide(sims[:, 1:], sigma, out=sims[:, 1:])
+    gamma_rep = np.mean(np.log(ratio), axis=1)
+    model = np.power(ratio, -1.0 / gamma_rep[:, None], out=ratio)
+    np.subtract(1.0, model, out=model)
+    return _longest_runs_rows(edf_positions(sims.shape[1] - 1)[None, :] > model)

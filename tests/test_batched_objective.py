@@ -29,7 +29,7 @@ from claimtails.estimation import (
     _tail_candidates,
     mad_objective,
 )
-from claimtails.tail_model import head_cdf, tail_cdf
+from oracles import head_cdf, tail_cdf
 
 WEIGHTINGS = st.sampled_from(list(Weighting))
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.stats import ks_2samp, kstest
 
 import claimtails as ct
 from oracles import quadrature_thinned_cdf
@@ -87,6 +87,39 @@ class TestThinning:
             ct.thinned_cdf_closed(1.0, 0.0, 2.0)
         with pytest.raises(ValueError):
             ct.thinned_cdf_closed(1.0, -1.0, 2.0)
+
+
+class TestSampleThinned:
+    @pytest.mark.parametrize("sigma,sigma_t,seed", [
+        (1.0, 1.0, 0), (0.5, 2.0, 1), (2.0, 0.5, 2), (1.5, 0.7, 3), (1e6, 1.0, 4),
+    ])
+    def test_ks_against_closed_form(self, sigma, sigma_t, seed):
+        n = 20_000
+        s = ct.sample_thinned(sigma, sigma_t, n, seed)
+        stat = kstest(s.values, lambda x: ct.thinned_cdf_closed(sigma, sigma_t, x)).statistic
+        assert stat < 1.63 / np.sqrt(n)
+
+    @pytest.mark.parametrize("sigma,sigma_t", [(1.0, 1.0), (0.5, 2.0), (2.0, 0.5)])
+    def test_equal_in_law_to_the_filing_mechanism(self, sigma, sigma_t):
+        # losses Exp(sigma), each filed as a claim with probability
+        # 1 - exp(-y/sigma_t)
+        rng = np.random.default_rng(5)
+        losses = rng.exponential(sigma, 60_000)
+        filed = losses[rng.random(losses.size) < -np.expm1(-losses / sigma_t)]
+        drawn = ct.sample_thinned(sigma, sigma_t, 20_000, 6).values
+        stat = ks_2samp(filed, drawn).statistic
+        assert stat < 1.63 * np.sqrt((filed.size + drawn.size) / (filed.size * drawn.size))
+
+    def test_large_scale_draws(self):
+        # nearly all the mass lies above 1e3, which bounded inversion missed
+        s = ct.sample_thinned(1e6, 1.0, 10, 0)
+        assert s.n == 10 and np.all(np.diff(s.values) >= 0) and s.values[0] > 0
+
+    @pytest.mark.parametrize("sigma,sigma_t", [(1.0, -2.0), (-1.0, 2.0), (0.0, 1.0), (1.0, 0.0)])
+    def test_domain_errors(self, sigma, sigma_t):
+        # (1, -2) would give the second exponential a positive mean, 2
+        with pytest.raises(ValueError, match="sigma and sigma_t must be positive"):
+            ct.sample_thinned(sigma, sigma_t, 10, 0)
 
 
 class TestSubstream:

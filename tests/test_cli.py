@@ -315,6 +315,14 @@ class TestSimulateCommand:
         ).statistic
         assert stat < 1.63 / np.sqrt(vals.size)
 
+    @pytest.mark.parametrize("flag", ["--sigma", "--sigma-t"])
+    def test_thinning_scales_must_be_positive(self, flag, tmp_path, capsys):
+        out = tmp_path / "thin"
+        rc = main(["simulate", "--mode", "thinning", flag, "-2", "-n", "10", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: sigma and sigma_t must be positive\n"
+        assert not out.exists()
+
 
 class TestQqCommand:
     def test_qq_normal_margins(self, tmp_path, loss_csv):
@@ -407,8 +415,6 @@ class TestTypedFailures:
                      id="BootstrapFailedError"),
         pytest.param("bootstrap", _worker_dies, "terminated abruptly", id="BrokenProcessPool"),
         pytest.param("qq", _probes_too_far, "underflows", id="ProbeTooFarError"),
-        # no patch: with sigma = 1e6 the draws fall outside the bracket
-        pytest.param("thinning-unbracketed", None, "outside [F(lo), F(hi)]", id="BracketError"),
     ])
     def test_error_line_and_nonzero_exit(self, command, patch, message, tmp_path, loss_csv,
                                          monkeypatch, capsys):
@@ -419,11 +425,8 @@ class TestTypedFailures:
             "fit": ["fit", "--input", str(loss_csv), *common],
             "bootstrap": ["bootstrap", "--input", str(loss_csv), "--boot-reps", "3", *common],
             "qq": ["qq", "--input", str(loss_csv), "--model", str(mpath), *common],
-            "thinning-unbracketed": ["simulate", "--mode", "thinning", "--sigma", "1e6",
-                                     "-n", "10", *common],
         }[command]
-        if patch is not None:
-            patch(monkeypatch)
+        patch(monkeypatch)
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err

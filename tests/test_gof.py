@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 import claimtails as ct
 from claimtails import gof
 from claimtails.gof import Margins, _longest_runs_rows
+from oracles import pareto_simulated_m
 
 
 def longest_run_loop(ind):
@@ -160,14 +161,21 @@ class TestParetoTailTest:
         reps = 2 * rows + 17  # two full blocks and a partial one
         got = ct.pareto_tail_test(s, k, reps=reps, seed=4)
 
-        # the whole reps x (k+1) simulation as one block
-        sigma, gamma_hat = got.sigma, 1.0 / got.alpha_hat
-        u = np.clip(np.random.default_rng(4).random((reps, k + 1)), 1e-16, 1 - 1e-16)
-        sims = np.sort(sigma * np.power(u, -gamma_hat), axis=1)[:, 1:]
-        gamma_rep = np.mean(np.log(sims / sigma), axis=1)
-        model = 1.0 - np.power(sims / sigma, -1.0 / gamma_rep[:, None])
-        m_sim = _longest_runs_rows(ct.edf_positions(k)[None, :] > model)
+        # the whole reps x (k+1) simulation as one block, on the Pareto scale
+        m_sim = pareto_simulated_m(np.random.default_rng(4), np.empty((reps, k + 1)),
+                                   got.sigma, 1.0 / got.alpha_hat)
         assert got.p_value == float(np.mean(m_sim >= got.m))
+
+    @pytest.mark.parametrize("k", [3, 16, 50, 500])
+    def test_pivotal_replicates_match_pareto_form(self, k):
+        # the replicates on the Pareto scale, at any (sigma, gamma_hat), give
+        # the pivotal form's longest runs bit for bit
+        scales = [(1.0, 1 / 1.2), (3.7, 0.25), (1e3, 2.0), (1e-3, 5.0)]
+        for seed, (sigma, gamma_hat) in enumerate(scales):
+            want = pareto_simulated_m(np.random.default_rng(seed), np.empty((2000, k + 1)),
+                                      sigma, gamma_hat)
+            got = gof._simulated_m(np.random.default_rng(seed), np.empty((2000, k + 1)))
+            np.testing.assert_array_equal(got, want)
 
     def test_monte_carlo_error_across_seeds(self):
         s = ct.sample(ct.pareto(1.2, 1.0), 300, seed=5)
@@ -260,6 +268,28 @@ class TestQqCoordinates:
         s = ct.sample_mechanism(m, 200, seed=14)
         out = ct.qq_coordinates(s, m, Margins.ORIGINAL)
         assert out["theoretical"].size == 200
+
+    @pytest.mark.parametrize("margins,unused", [
+        (Margins.STANDARD_NORMAL, "adjusted_quantile"),
+        (Margins.STANDARD_FRECHET, "adjusted_quantile"),
+        (Margins.ORIGINAL, "adjusted_cdf"),
+    ])
+    def test_margins_skip_the_unused_law(self, margins, unused, monkeypatch):
+        # only original margins invert the CDF; the others only evaluate it
+        m = ct.AdjustedModel(
+            ct.pareto(1.0, 1.0),
+            ct.UpperAdjustment(ct.shifted_weibull(3.0, 25.0, 2.0), 0.5, 3.0),
+        )
+        s = ct.sample_mechanism(m, 200, seed=14)
+        want = ct.qq_coordinates(s, m, margins)
+
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{unused} called")
+
+        monkeypatch.setattr(gof, unused, fail)
+        got = ct.qq_coordinates(s, m, margins)
+        np.testing.assert_array_equal(got["theoretical"], want["theoretical"])
+        np.testing.assert_array_equal(got["empirical"], want["empirical"])
 
     def test_normal_margins_leave_scipy_stats_unloaded(self):
         code = ("import sys, claimtails as ct; "

@@ -1,11 +1,9 @@
-"""Vectorized CDF inversion: `invert_cdf`, array `adjusted_quantile` and the
-thinned-law sampler built on it."""
+"""Vectorized CDF inversion: `invert_cdf` and array `adjusted_quantile`."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 
 import claimtails as ct
 
@@ -125,30 +123,3 @@ class TestInvertCdf:
             ct.adjusted_quantile(m, np.array([0.5, 1.0]))
         with pytest.raises(ValueError):
             ct.adjusted_quantile(m, np.array([np.nan]))
-
-
-class TestSampleThinned:
-    @pytest.mark.parametrize("sigma,sigma_t,seed", [(1.5, 0.7, 21), (1.5, 0.7, 2), (1.0, 1.0, 9)])
-    def test_matches_pointwise_brentq(self, sigma, sigma_t, seed):
-        n = 3000
-        got = ct.sample_thinned(sigma, sigma_t, n, seed).values
-        u = np.sort(np.clip(np.random.default_rng(seed).random(n), 1e-12, 1 - 1e-12))
-        want = np.array([
-            brentq(lambda x, ui=ui: ct.thinned_cdf_closed(sigma, sigma_t, x) - ui, 1e-12, 1e3)
-            for ui in u
-        ])
-        # brentq's own tolerance, plus the width of the run of x over which the
-        # computed CDF sits on one float: near the top, F moves by one ulp of u
-        # only every spacing(u) / f(x), and brentq may stop anywhere in that run
-        rate2 = (sigma + sigma_t) / (sigma * sigma_t)
-        density = (sigma + sigma_t) / sigma**2 * (np.exp(-want / sigma) - np.exp(-want * rate2))
-        tol = 2e-12 + 4 * np.finfo(float).eps * np.abs(want) + 2 * np.spacing(u) / density
-        assert np.all(np.abs(got - want) <= tol)
-        # the bisection returns the first float of that run
-        F = lambda x: ct.thinned_cdf_closed(sigma, sigma_t, x)
-        assert np.all(F(got) >= u) and np.all(F(np.nextafter(got, 0)) < u)
-
-    def test_unbracketed_draw_raises(self):
-        # with sigma = 1e6 almost no mass lies below 1e3
-        with pytest.raises(ct.BracketError):
-            ct.sample_thinned(1e6, 1.0, 10, 0)

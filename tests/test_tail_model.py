@@ -11,9 +11,8 @@ from claimtails.tail_model import (
     ProbeTooFarError,
     _head_log_cdf,
     _tail_log_survival,
-    head_cdf,
-    tail_cdf,
 )
+from oracles import head_cdf, tail_cdf
 
 
 def weibull_damped_pareto(p_upper: float) -> ct.AdjustedModel:
@@ -94,8 +93,9 @@ def lower_models(draw):
 
 
 class TestConditionalLaws:
-    """`tail_cdf` and `head_cdf` condition the composite law on the branch
-    the pipeline fits; they share its formula, so they agree with it."""
+    """The oracles `tail_cdf` and `head_cdf` condition the composite law on
+    the branch the pipeline fits; they share its formula, so they agree
+    with it."""
 
     @settings(max_examples=100)
     @given(upper_models(), st.lists(st.floats(1.0, 100.0, exclude_min=True), min_size=1,
