@@ -65,6 +65,13 @@ def sample_mechanism(model: AdjustedModel, n: int, seed) -> OrderedSample:
 # ---------------------------------------------------------------------------
 # thinning
 
+def _check_scales(sigma: float, sigma_t: float) -> None:
+    if sigma <= 0 or sigma_t <= 0:
+        raise ValueError("sigma and sigma_t must be positive")
+    if not np.isfinite([sigma, sigma_t]).all():  # NaN passes the check above
+        raise ValueError("sigma and sigma_t must be positive and finite")
+
+
 def thinned_cdf_closed(sigma: float, sigma_t: float, x):
     """Closed-form thinned CDF for an exponential(sigma) loss law whose loss
     of size y is filed as a claim with probability 1 - exp(-y/sigma_t): the
@@ -76,8 +83,7 @@ def thinned_cdf_closed(sigma: float, sigma_t: float, x):
 
     `x` may be a scalar or an array.
     """
-    if sigma <= 0 or sigma_t <= 0:
-        raise ValueError("sigma and sigma_t must be positive")
+    _check_scales(sigma, sigma_t)
     if np.any(np.asarray(x) < 0):
         raise ValueError("thinned CDF is defined for x >= 0")
     s, st = sigma, sigma_t
@@ -92,8 +98,7 @@ def sample_thinned(sigma: float, sigma_t: float, n: int, seed) -> OrderedSample:
     of E1 + E2 with E1 ~ Exp(mean sigma) and E2 ~ Exp(mean
     sigma sigma_t/(sigma+sigma_t)), which are drawn in that order.
     """
-    if sigma <= 0 or sigma_t <= 0:
-        raise ValueError("sigma and sigma_t must be positive")
+    _check_scales(sigma, sigma_t)
     rng = as_generator(seed)
     values = draw(exponential(sigma), n, rng) + draw(
         exponential(sigma * sigma_t / (sigma + sigma_t)), n, rng

@@ -10,14 +10,13 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
 from itertools import cycle
 from pathlib import Path
 
 import numpy as np
 
 from . import claim_process, estimation, gof, resampling
-from .core_dist import Family, OrderedSample, edf_positions
+from .core_dist import Family, OrderedSample
 from .estimation import MadConfig, PipelinePlan, Weighting
 from .tail_model import (
     AdjustedModel,
@@ -244,15 +243,12 @@ def _build_plan(cfg: dict, sample: OrderedSample) -> PipelinePlan:
         fixed = {"sigma": threshold if threshold is not None else default}
     else:
         fixed = {"loc": threshold if threshold is not None else 0.0}
-    base_cfg = _mad_config(cfg)
     return PipelinePlan(
         base_family=family,
         base_fixed=fixed,
         x_lower=_cfg_float(cfg, "x_lower"),
         x_upper=_cfg_float(cfg, "x_upper"),
-        base_config=base_cfg,
-        upper_config=replace(PipelinePlan.upper_config, weighting=base_cfg.weighting),
-        lower_config=replace(PipelinePlan.lower_config, weighting=base_cfg.weighting),
+        config=_mad_config(cfg),
     )
 
 
@@ -283,9 +279,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     write_json(out / "fit_report.json", report)
     # standalone model file, consumable by the qq and simulate subcommands
     write_json(out / "model.json", model_to_dict(result.model))
-    pos = edf_positions(sample.n)
-    write_csv(out / "edf.csv", ["x", "prob"],
-              zip(sample.values.tolist(), pos.tolist()))
     grid = np.geomspace(float(sample.values[0]), float(sample.values[-1]), 500)
     write_csv(
         out / "model_curve.csv",
@@ -322,7 +315,7 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
     # replicates on every CPU
     summary = resampling.bootstrap_fit(
         sample, lambda resample: estimation.fit_pipeline(resample, plan).theta,
-        B, _cfg_int(cfg, "seed", minimum=0), keep_replicates=True, workers=_cpu_count(),
+        B, _cfg_int(cfg, "seed", minimum=0), workers=_cpu_count(),
     )
     out = Path(cfg["out"])
     write_json(out / "bootstrap.json", summary.as_dict())

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, Generator, Optional, Sequence
@@ -56,14 +56,18 @@ class Weighting(str, Enum):
     SQRT_PREFERENCE = "sqrt"
 
 
+# each fit step's perturbed restarts, step tolerance and evaluations per restart
+_RESTARTS = 5
+_XTOL = 1e-8
+_MAX_EVALS = 5000
+# a fitted p_upper within this distance of 0 or 1 is reported as 0 or 1
+P_UPPER_TOL = 1e-3
+
+
 @dataclass(frozen=True)
 class MadConfig:
     weighting: Weighting = Weighting.NORMALIZED
     rank_range: Optional[tuple] = None  # inclusive (i_lo, i_hi), 1-based
-    bounds: Optional[dict] = None  # natural-space bounds per free parameter
-    xtol: float = 1e-8
-    max_evals: int = 5000
-    restarts: int = 5
 
     def resolve_ranks(self, n: int) -> tuple:
         if self.rank_range is None:
@@ -371,7 +375,7 @@ def _lockstep(evaluate: Callable, runs: list) -> list:
 
 
 def _minimize_restarts(
-    evaluate: Callable, x0: np.ndarray, lb: list, ub: list, config: MadConfig, extra: Sequence = (),
+    evaluate: Callable, x0: np.ndarray, lb: list, ub: list, extra: Sequence = (),
 ) -> tuple:
     """Projected BFGS with deterministic perturbed restarts in transformed space,
     then one restart from each point of `extra`.
@@ -384,12 +388,12 @@ def _minimize_restarts(
     """
     rng = np.random.default_rng(20240817)
     offsets = [np.zeros_like(x0)] + [
-        0.35 * rng.standard_normal(x0.size) for _ in range(config.restarts - 1)
+        0.35 * rng.standard_normal(x0.size) for _ in range(_RESTARTS - 1)
     ]
     points = [x0 + offset for offset in offsets] + list(extra)
     starts = [np.clip(x, lb, ub).tolist() for x in points]
     ends = _lockstep(evaluate, [
-        _bfgs_steps(start, lb, ub, config.xtol, config.max_evals) for start in starts
+        _bfgs_steps(start, lb, ub, _XTOL, _MAX_EVALS) for start in starts
     ])
     runs = [(start, *end) for start, end in zip(starts, ends)]
     evals = sum(nfev for *_, nfev in runs)
@@ -543,7 +547,6 @@ def _tail_scan(x_upper: float, values: np.ndarray, ls_tail: np.ndarray, ls_at: f
     beta = np.repeat(_SCAN_BETA, sigmas.size)[:, None]
     sigma = np.tile(sigmas, len(_SCAN_BETA))[:, None]
     p = np.array(_SCAN_P)[:, None, None]
-    scan_config = replace(config, rank_range=None)
     per_call = max(1, _BATCH_ELEMENTS // (p.size * points.n))
     blocks = []
     for lo in range(0, beta.shape[0], per_call):
@@ -554,7 +557,7 @@ def _tail_scan(x_upper: float, values: np.ndarray, ls_tail: np.ndarray, ls_at: f
             log_s = _tail_log_survival(p, log_a, ls_points, ls_at).reshape(-1, x.size)
             return _log1mexp(log_s), log_s, None
 
-        blocks.append(mad_objective(points, model, scan_config).reshape(p.size, -1))
+        blocks.append(mad_objective(points, model, config).reshape(p.size, -1))
     v = np.concatenate(blocks, axis=1)
     grid = np.where(np.isfinite(v), _objective_direction(config.weighting) * v, np.inf)
     grid = grid.reshape(p.size, len(_SCAN_BETA), sigmas.size)
@@ -604,13 +607,14 @@ def _fit_generic(
     free_names: Sequence[str],
     x0_natural: dict,
     config: MadConfig,
+    bounds: Optional[dict] = None,
     extra: Sequence = (),
 ) -> FitResult:
-    """Minimum-AD fit of `free_names`, whose `candidates` are the
-    (params_of, model_of) pair of `_batch_objective`; each point of `extra`, a
-    list of natural values of the free parameters, adds a restart."""
+    """Minimum-AD fit of `free_names` within their natural (lo, hi) `bounds`,
+    whose `candidates` are the (params_of, model_of) pair of `_batch_objective`;
+    each point of `extra`, a list of natural values, adds a restart."""
     fwd, inv, slope = zip(*map(_transform, free_names))
-    bounds = config.bounds or {}
+    bounds = bounds or {}
     box = [(i, *bounds[nm]) for i, nm in enumerate(free_names) if nm in bounds]
 
     def natural(points: list) -> list:
@@ -641,7 +645,7 @@ def _fit_generic(
         lb.append(float(lo))
         ub.append(float(hi))
     extra = [np.array([g(v) for g, v in zip(fwd, point)]) for point in extra]
-    best_x, best_f, converged, evals, runs = _minimize_restarts(evaluate, x0, lb, ub, config, extra)
+    best_x, best_f, converged, evals, runs = _minimize_restarts(evaluate, x0, lb, ub, extra)
     direction = _objective_direction(config.weighting)
     starts, ends = (natural([run[i] for run in runs]) for i in (0, 2))
     restarts = tuple(
@@ -742,14 +746,13 @@ def spacings_estimate(sample: OrderedSample, value_range: tuple) -> dict:
 
 @dataclass(frozen=True)
 class PipelinePlan:
-    """Three-step fit plan; leaving x_upper or x_lower unset skips that step."""
+    """Three-step fit plan; leaving x_upper or x_lower unset skips that step.
+    Every step uses `config.weighting`, only the base step its `rank_range`."""
     base_family: Family
     base_fixed: dict = field(default_factory=dict)
     x_lower: Optional[float] = None
     x_upper: Optional[float] = None
-    base_config: MadConfig = MadConfig()
-    upper_config: MadConfig = MadConfig(bounds={"beta": (0.5, 100.0)})
-    lower_config: MadConfig = MadConfig(bounds={"gamma_adj_l": (-5.0, -0.01)})
+    config: MadConfig = MadConfig()
 
 
 @dataclass(frozen=True)
@@ -793,20 +796,20 @@ def fit_pipeline(sample: OrderedSample, plan: PipelinePlan) -> PipelineResult:
     mid_ranks = np.nonzero(in_mid)[0] + 1
     if mid_ranks.size == 0:
         raise ValueError("no observations in the base fitting range")
-    cfg1 = plan.base_config
+    weighting, rank_range = plan.config.weighting, plan.config.rank_range
     rlo, rhi = int(mid_ranks[0]), int(mid_ranks[-1])
-    if cfg1.rank_range is not None:
-        lo, hi = max(rlo, cfg1.rank_range[0]), min(rhi, cfg1.rank_range[1])
+    if rank_range is not None:
+        lo, hi = max(rlo, rank_range[0]), min(rhi, rank_range[1])
         if lo > hi:
             raise ValueError(
-                f"rank range {tuple(cfg1.rank_range)} contains none of the ranks "
+                f"rank range {tuple(rank_range)} contains none of the ranks "
                 f"{rlo}..{rhi} between the thresholds"
             )
         rlo, rhi = lo, hi
-    cfg1 = replace(cfg1, rank_range=(rlo, rhi))
     base_fixed = {**KERNELS[plan.base_family].fixed, **plan.base_fixed}
-    base_fit = fit_mad(sample, plan.base_family, base_fixed, cfg1)
+    base_fit = fit_mad(sample, plan.base_family, base_fixed, MadConfig(weighting, (rlo, rhi)))
     base = spec_from_dict(plan.base_family, {**base_fixed, **base_fit.theta})
+    config = MadConfig(weighting)  # for the upper and lower steps' whole subsamples
 
     # step 2: upper adjuster + transition probability on the tail subsample
     upper = None
@@ -831,23 +834,19 @@ def fit_pipeline(sample: OrderedSample, plan: PipelinePlan) -> PipelineResult:
             }
             # a base the upper mixture cannot take fails here, not in every restart
             upper_model(x0)
-            # the base is fixed here: log S_b on the fitted tail ranks and
-            # at x_upper, once per step
-            i_lo, i_hi = plan.upper_config.resolve_ranks(tail.n)
-            ls_tail = _log_survival(base, tail.values[i_lo - 1 : i_hi])
+            # the base is fixed here: log S_b on the tail and at x_upper, once per step
+            ls_tail = _log_survival(base, tail.values)
             ls_at = _log_survival(base, plan.x_upper)
 
             upper_fit = _fit_generic(
                 tail, _tail_candidates(plan.x_upper, ls_tail, ls_at), ["p_upper", "beta", "sigma"],
-                x0, plan.upper_config,
-                _tail_scan(plan.x_upper, tail.values[i_lo - 1 : i_hi], ls_tail, ls_at,
-                           plan.upper_config),
+                x0, config, {"beta": (0.5, 100.0)},
+                _tail_scan(plan.x_upper, tail.values, ls_tail, ls_at, config),
             )
             p_hat = upper_fit.theta["p_upper"]
-            # boundary estimates are reported as exact 0/1
-            if p_hat < 1e-3:
+            if p_hat < P_UPPER_TOL:
                 p_hat = 0.0
-            elif p_hat > 1.0 - 1e-3:
+            elif p_hat > 1.0 - P_UPPER_TOL:
                 p_hat = 1.0
             upper = upper_model({**upper_fit.theta, "p_upper": p_hat}).upper
 
@@ -860,21 +859,20 @@ def fit_pipeline(sample: OrderedSample, plan: PipelinePlan) -> PipelineResult:
             warnings.append("lower step skipped: too few head observations")
         else:
             head = OrderedSample.from_values(head_values, label="lower head")
-            i_lo, i_hi = plan.lower_config.resolve_ranks(head.n)
             # F_b is 0 at and below the base's left endpoint, so every candidate's
             # head CDF is 0 there
-            x_min = float(head.values[i_lo - 1])
+            x_min = float(head.values[0])
             if x_min <= base.left_endpoint:
                 raise ValueError(
-                    f"the smallest fitted head observation {x_min:g} (rank {i_lo}) is not "
+                    f"the smallest fitted head observation {x_min:g} (rank 1) is not "
                     f"above the base's left endpoint {base.left_endpoint:g}"
                 )
-            lf_head = _log1mexp(_log_survival(base, head.values[i_lo - 1 : i_hi]))
+            lf_head = _log1mexp(_log_survival(base, head.values))
             lf_at = _log1mexp(_log_survival(base, plan.x_lower))
 
             lower_fit = _fit_generic(
                 head, _head_candidates(plan.x_lower, lf_head, lf_at), ["gamma_adj_l"],
-                {"gamma_adj_l": -0.5}, plan.lower_config,
+                {"gamma_adj_l": -0.5}, config, {"gamma_adj_l": (-5.0, -0.01)},
             )
             adjuster = lower_gpd_adjuster(lower_fit.theta["gamma_adj_l"], plan.x_lower)
             lower = LowerAdjustment(adjuster, plan.x_lower)

@@ -6,16 +6,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .claim_process import substream
 from .core_dist import OrderedSample
+from .estimation import P_UPPER_TOL
 from .parallel import fork_map
-
-# transition probabilities within this distance of 0/1 count as boundary fits
-DEGENERACY_TOL = 1e-3
 
 
 class BootstrapFailedError(RuntimeError):
@@ -32,7 +30,7 @@ class BootstrapSummary:
     p_upper_at_one_fraction: float
     failed: int
     seed: int
-    replicates: Optional[list] = None
+    replicates: list  # each fitted replicate's theta, in replicate order
 
     def as_dict(self) -> dict:
         return {
@@ -65,7 +63,6 @@ def bootstrap_fit(
     B: int,
     seed: int,
     level: float = 0.90,
-    keep_replicates: bool = False,
     workers: int = 1,
 ) -> BootstrapSummary:
     """Nonparametric bootstrap of any fitting closure.
@@ -101,8 +98,8 @@ def bootstrap_fit(
         )
     p_vals = np.array([t["p_upper"] for t in params_per_rep if "p_upper" in t])
     if p_vals.size:
-        at0 = float(np.mean(p_vals <= DEGENERACY_TOL))
-        at1 = float(np.mean(p_vals >= 1.0 - DEGENERACY_TOL))
+        at0 = float(np.mean(p_vals <= P_UPPER_TOL))
+        at1 = float(np.mean(p_vals >= 1.0 - P_UPPER_TOL))
     else:
         at0 = at1 = 0.0
     return BootstrapSummary(
@@ -114,5 +111,5 @@ def bootstrap_fit(
         p_upper_at_one_fraction=at1,
         failed=failed,
         seed=seed,
-        replicates=params_per_rep if keep_replicates else None,
+        replicates=params_per_rep,
     )

@@ -58,6 +58,9 @@ class TestMechanism:
         np.testing.assert_array_equal(g1.values, g2.values)
 
 
+NON_FINITE_SCALES = [(np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0), (1.0, np.nan)]
+
+
 class TestThinning:
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("sigma_t", [0.5, 1.0, 2.0])
@@ -87,6 +90,11 @@ class TestThinning:
             ct.thinned_cdf_closed(1.0, 0.0, 2.0)
         with pytest.raises(ValueError):
             ct.thinned_cdf_closed(1.0, -1.0, 2.0)
+
+    @pytest.mark.parametrize("sigma,sigma_t", NON_FINITE_SCALES)
+    def test_non_finite_scales(self, sigma, sigma_t):
+        with pytest.raises(ValueError, match="^sigma and sigma_t must be positive and finite$"):
+            ct.thinned_cdf_closed(sigma, sigma_t, 1.0)
 
 
 class TestSampleThinned:
@@ -119,6 +127,11 @@ class TestSampleThinned:
     def test_domain_errors(self, sigma, sigma_t):
         # (1, -2) would give the second exponential a positive mean, 2
         with pytest.raises(ValueError, match="sigma and sigma_t must be positive"):
+            ct.sample_thinned(sigma, sigma_t, 10, 0)
+
+    @pytest.mark.parametrize("sigma,sigma_t", NON_FINITE_SCALES)
+    def test_non_finite_scales(self, sigma, sigma_t):
+        with pytest.raises(ValueError, match="^sigma and sigma_t must be positive and finite$"):
             ct.sample_thinned(sigma, sigma_t, 10, 0)
 
 

@@ -183,9 +183,8 @@ class TestFitCommand:
         report = json.loads((out / "fit_report.json").read_text())
         assert report["model"]["base"]["family"] == "gpd"
         assert abs(report["base_fit"]["theta"]["gamma"] - 0.5) < 0.15
-        edf_lines = (out / "edf.csv").read_text().strip().splitlines()
-        assert edf_lines[0] == "x,prob"
-        assert len(edf_lines) == 601
+        assert sorted(p.name for p in out.iterdir()) == [
+            "fit_report.json", "model.json", "model_curve.csv"]
         curve_lines = (out / "model_curve.csv").read_text().strip().splitlines()
         assert curve_lines[0] == "x,cdf,survival"
         model = ct.model_from_json((out / "model.json").read_text())
@@ -215,7 +214,7 @@ class TestFitCommand:
             assert main(["fit", "--input", str(loss_csv), "--x-lower", "0.2", "--x-upper", "20",
                          "--seed", "3", "--out", str(out)]) == 0
             outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-        assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
+        assert len(outputs[0]) == 3 and outputs[0] == outputs[1]
         report = json.loads(outputs[0]["fit_report.json"])
         assert report["upper_fit"] and report["lower_fit"]
         assert pools == []  # each step's restarts run in this process
@@ -321,6 +320,15 @@ class TestSimulateCommand:
         rc = main(["simulate", "--mode", "thinning", flag, "-2", "-n", "10", "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == "error: sigma and sigma_t must be positive\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("flag", ["--sigma", "--sigma-t"])
+    def test_thinning_scales_must_be_finite(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "thin"
+        rc = main(["simulate", "--mode", "thinning", flag, value, "-n", "10", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: sigma and sigma_t must be positive and finite\n"
         assert not out.exists()
 
 

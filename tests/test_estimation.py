@@ -204,9 +204,10 @@ class TestFitMad:
         assert set(fit.theta) == {"alpha"}
         assert abs(fit.theta["alpha"] - 1.4) < 0.1
 
-    def test_subrange_fit_unbiased(self):
+    def test_subrange_fit_unbiased(self, monkeypatch):
+        monkeypatch.setattr(estimation, "_RESTARTS", 2)
         spec = ct.gpd(0.5, 1.0)
-        cfg = MadConfig(rank_range=(201, 1800), restarts=2)
+        cfg = MadConfig(rank_range=(201, 1800))
         gammas = []
         for seed in range(50):
             s = ct.sample(spec, 2000, seed=seed)
@@ -428,7 +429,7 @@ class TestPipeline:
         # each step calls the objective more often than it has restarts
         calls = Counter(evaluations)
         assert set(calls) == {s.label, "upper tail", "lower head"}
-        assert min(calls.values()) > plan.base_config.restarts
+        assert min(calls.values()) > estimation._RESTARTS
         assert len(weight_calls) <= 3
 
     def test_bootstrap_replicates_are_reproduced(self):
@@ -451,8 +452,7 @@ class TestPipeline:
         s, plan = self.small_composite()
         for workers in (1, 2, 3):
             out = resampling.bootstrap_fit(
-                s, lambda r: ct.fit_pipeline(r, plan).theta, 3, 5, keep_replicates=True,
-                workers=workers,
+                s, lambda r: ct.fit_pipeline(r, plan).theta, 3, 5, workers=workers,
             )
             assert out.replicates == recorded, f"workers={workers}"
 
@@ -463,17 +463,18 @@ class TestPipeline:
         s, plan = self.small_composite()
         idx = ct.substream(5, 2).integers(0, s.n, size=s.n)
         out = ct.fit_pipeline(ct.OrderedSample.from_values(s.values[idx]), plan)
-        hi = plan.upper_config.bounds["beta"][1]
+        hi = 100.0  # the upper step's bound on beta
         assert out.upper_fit.theta["beta"] == hi
         assert out.theta["beta_adj_u"] == hi
         for start, end, _, _ in out.upper_fit.restarts:
             assert start["beta"] <= hi and end["beta"] <= hi
 
     def test_adjuster_steps_honour_their_rank_range(self):
-        # the base values computed once per step cover the fitted ranks only
+        # the upper and lower steps fit their whole subsample, whatever the
+        # plan's rank range (the base's)
         s, plan = self.small_composite()
-        plan = replace(plan, upper_config=replace(plan.upper_config, rank_range=(3, 20)),
-                       lower_config=replace(plan.lower_config, rank_range=(5, 100)))
+        config = MadConfig()
+        plan = replace(plan, config=MadConfig(rank_range=(30, 700)))
         out = ct.fit_pipeline(s, plan)
         tail = ct.OrderedSample.from_values(s.values[s.values > plan.x_upper])
         head = ct.OrderedSample.from_values(s.values[s.values < plan.x_lower])
@@ -483,9 +484,16 @@ class TestPipeline:
             out.upper_fit.theta["p_upper"], plan.x_upper))
         lower = ct.AdjustedModel(out.model.base, lower=out.model.lower)
         assert out.upper_fit.objective_value == ct.mad_objective(
-            tail, partial(tail_cdf, upper), plan.upper_config)
+            tail, partial(tail_cdf, upper), config)
         assert out.lower_fit.objective_value == ct.mad_objective(
-            head, partial(head_cdf, lower), plan.lower_config)
+            head, partial(head_cdf, lower), config)
+
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    def test_plan_weighting_reaches_every_step(self, weighting):
+        s, plan = self.small_composite()
+        out = ct.fit_pipeline(s, replace(plan, config=MadConfig(weighting=weighting)))
+        for fit in (out.base_fit, out.upper_fit, out.lower_fit):
+            assert fit.config.weighting == weighting
 
     def test_swapped_thresholds_are_named(self):
         s, _ = self.small_composite()
@@ -499,30 +507,26 @@ class TestPipeline:
             base_family=ct.Family.GPD,
             x_lower=float(s.values[10]),
             x_upper=float(s.values[400]),
-            base_config=MadConfig(rank_range=(590, 600)),
+            config=MadConfig(rank_range=(590, 600)),
         )
         with pytest.raises(ValueError, match=r"rank range \(590, 600\) contains none of "
                                              r"the ranks 11\.\.401 between the thresholds"):
             ct.fit_pipeline(s, plan)
 
-    @pytest.mark.parametrize("rank_range", [None, (3, 40)])
-    def test_head_below_the_base_support_is_named(self, rank_range, monkeypatch):
+    def test_head_below_the_base_support_is_named(self, monkeypatch):
         # a GPD base located at 0.5 gives the head below it probability 0
         s = ct.sample(ct.gpd(0.5, 2.0), 600, seed=3)
-        lower_config = replace(ct.PipelinePlan.lower_config, rank_range=rank_range)
-        plan = ct.PipelinePlan(ct.Family.GPD, {"loc": 0.5}, x_lower=0.7,
-                               lower_config=lower_config)
-        rank = rank_range[0] if rank_range else 1
+        plan = ct.PipelinePlan(ct.Family.GPD, {"loc": 0.5}, x_lower=0.7)
         runs = []
         steps = estimation._bfgs_steps
         monkeypatch.setattr(estimation, "_bfgs_steps",
                             lambda *args: runs.append(args) or steps(*args))
         with pytest.raises(ValueError, match=(
-            rf"^the smallest fitted head observation {s.values[rank - 1]:g} \(rank {rank}\) "
+            rf"^the smallest fitted head observation {s.values[0]:g} \(rank 1\) "
             r"is not above the base's left endpoint 0\.5$"
         )):
             ct.fit_pipeline(s, plan)
-        assert len(runs) == plan.base_config.restarts  # the base step's only
+        assert len(runs) == estimation._RESTARTS  # the base step's only
 
     def test_sparse_tail_warns_and_skips(self):
         s = ct.sample(ct.gpd(0.5, 2.0), 500, seed=12)
@@ -565,12 +569,8 @@ class TestUpperScan:
         # x_upper with p_upper near 0.02, basins that the perturbed restarts
         # alone miss by 1.5e-4 to 7.5e-3 relative; the bases differ from
         # Nelder-Mead's by ~1e-9, so the bar is 1e-7
-        config = MadConfig(weighting=weighting)
         plan = ct.PipelinePlan(
-            ct.Family.GPD, x_lower=0.2, x_upper=20.0, base_config=config,
-            upper_config=replace(config, bounds={"beta": (0.5, 100.0)}),
-            lower_config=replace(config, bounds={"gamma_adj_l": (-5.0, -0.01)}),
-        )
+            ct.Family.GPD, x_lower=0.2, x_upper=20.0, config=MadConfig(weighting=weighting))
         s = ct.sample_mechanism(BENCH_LAW, 2000, seed)
         value = ct.fit_pipeline(s, plan).upper_fit.objective_value
         direction = -1.0 if weighting == Weighting.UNWEIGHTED else 1.0
@@ -613,13 +613,13 @@ class TestRestartWorkers:
     @pytest.mark.parametrize("weighting", [Weighting.NORMALIZED, Weighting.UNWEIGHTED])
     def test_restart_record(self, weighting):
         s, plan = TestPipeline.small_composite()
-        plan = replace(plan, base_config=MadConfig(weighting=weighting))
+        plan = replace(plan, config=MadConfig(weighting=weighting))
         out = ct.fit_pipeline(s, plan)
         for step in ("base_fit", "upper_fit", "lower_fit"):
             fit = getattr(out, step)
             # the upper step adds a restart at each of its scan's lowest grid minima
             scan = estimation._SCAN_STARTS if step == "upper_fit" else 0
-            assert len(fit.restarts) == fit.config.restarts + scan
+            assert len(fit.restarts) == estimation._RESTARTS + scan
             assert sum(nfev for *_, nfev in fit.restarts) == fit.evaluations
             direction = -1.0 if fit.config.weighting == Weighting.UNWEIGHTED else 1.0
             best = min(fit.restarts, key=lambda restart: direction * restart[2])
@@ -640,14 +640,16 @@ class TestRestartWorkers:
             return objective(sample, ones, config)
 
         monkeypatch.setattr(estimation, "mad_objective", out_of_domain)
+        monkeypatch.setattr(estimation, "_RESTARTS", restarts)
         s = ct.sample(ct.gpd(0.5, 1.0), 200, seed=0)
         with pytest.raises(FitFailedError,
                            match="^every optimizer restart ended in the penalty region$"):
-            ct.fit_mad(s, ct.Family.GPD, config=MadConfig(restarts=restarts))
+            ct.fit_mad(s, ct.Family.GPD)
 
     @pytest.mark.parametrize("restarts", [1, 5])
     def test_fit_starts_no_process(self, restarts, monkeypatch):
         monkeypatch.setattr(os, "fork", _no_fork)
+        monkeypatch.setattr(estimation, "_RESTARTS", restarts)
         s = ct.sample(ct.gpd(0.5, 1.0), 200, seed=0)
-        fit = ct.fit_mad(s, ct.Family.GPD, config=MadConfig(restarts=restarts))
+        fit = ct.fit_mad(s, ct.Family.GPD)
         assert fit.evaluations > 0

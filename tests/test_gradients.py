@@ -269,10 +269,7 @@ def test_line_search_on_an_extreme_sample_raises_no_warning():
     for seed in (306, 309):
         sample = ct.sample_mechanism(truth, 2000, seed)
         for weighting in Weighting:
-            weighted = replace(plan, **{
-                step: replace(getattr(plan, step), weighting=weighting)
-                for step in ("base_config", "upper_config", "lower_config")
-            })
+            weighted = replace(plan, config=MadConfig(weighting=weighting))
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 out = ct.fit_pipeline(sample, weighted)

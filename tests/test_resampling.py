@@ -6,19 +6,12 @@ import numpy as np
 import pytest
 
 import claimtails as ct
-from claimtails import parallel
-from claimtails.estimation import MadConfig
+from claimtails import estimation, parallel
 from claimtails.resampling import BootstrapFailedError
 
 
-def gpd_closure(config=None):
-    cfg = config or MadConfig()
-
-    def fit(resample):
-        out = ct.fit_mad(resample, ct.Family.GPD, config=cfg)
-        return out.theta
-
-    return fit
+def gpd_fit(resample):
+    return ct.fit_mad(resample, ct.Family.GPD).theta
 
 
 class TestBootstrapFit:
@@ -50,24 +43,24 @@ class TestBootstrapFit:
         classical = float(np.std(s.values, ddof=1)) / np.sqrt(s.n)
         assert out.standard_errors["mu"] == pytest.approx(classical, rel=0.2)
 
-    def test_gpd_shape_se_plausible(self):
+    def test_gpd_shape_se_plausible(self, monkeypatch):
+        monkeypatch.setattr(estimation, "_RESTARTS", 2)
         s = ct.sample(ct.gpd(0.65, 600.0), 9181, seed=1)
-        cfg = MadConfig(restarts=2)
-        out = ct.bootstrap_fit(s, gpd_closure(cfg), B=60, seed=4)
+        out = ct.bootstrap_fit(s, gpd_fit, B=60, seed=4)
         assert 0.008 <= out.standard_errors["gamma"] <= 0.03
         lo, hi = out.intervals["gamma"]
         assert lo < 0.65 < hi
 
-    def test_interval_coverage(self):
+    def test_interval_coverage(self, monkeypatch):
         # percentile intervals at 80% cover the truth in most outer draws
+        monkeypatch.setattr(estimation, "_RESTARTS", 2)
         spec = ct.gpd(0.5, 1.0)
-        cfg = MadConfig(restarts=2)
         hits = 0
         outer = 30
         for trial in range(outer):
             s = ct.sample(spec, 400, seed=trial)
             # the draws do not depend on the worker count; two only save time
-            out = ct.bootstrap_fit(s, gpd_closure(cfg), B=60, seed=trial, level=0.80,
+            out = ct.bootstrap_fit(s, gpd_fit, B=60, seed=trial, level=0.80,
                                    workers=2)
             lo, hi = out.intervals["gamma"]
             hits += lo <= 0.5 <= hi
@@ -113,9 +106,10 @@ class TestBootstrapFit:
         def mean_fit(r):
             return {"mu": float(np.mean(r.values))}
 
-        out = ct.bootstrap_fit(s, mean_fit, B=10, seed=9, keep_replicates=True)
+        out = ct.bootstrap_fit(s, mean_fit, B=10, seed=9)
         assert len(out.replicates) == 10
-        assert ct.bootstrap_fit(s, mean_fit, B=10, seed=9).replicates is None
+        assert out.replicates[0] == mean_fit(ct.OrderedSample.from_values(
+            s.values[ct.substream(9, 0).integers(0, s.n, size=s.n)]))
 
     def test_invalid_b(self):
         s = ct.sample(ct.exponential(1.0), 10, seed=0)
@@ -142,7 +136,7 @@ class TestWorkers:
         runs = {
             workers: ct.bootstrap_fit(
                 s, lambda r: {"mu": float(np.mean(r.values)), "top": float(r.values[-1])},
-                B=B, seed=4, keep_replicates=True, workers=workers,
+                B=B, seed=4, workers=workers,
             )
             for workers in (1, 2, 3, B + 3)
         }
@@ -163,8 +157,7 @@ class TestWorkers:
             return {"mu": float(np.mean(r.values))}
 
         runs = [
-            ct.bootstrap_fit(s, fails_above_mean, B=17, seed=2, keep_replicates=True,
-                             workers=workers)
+            ct.bootstrap_fit(s, fails_above_mean, B=17, seed=2, workers=workers)
             for workers in (1, 2, 3, 20)
         ]
         assert 0 < runs[0].failed < 17
@@ -212,11 +205,11 @@ class TestWorkers:
         def fit(r):
             return {"c": float(r.values[0])}
 
-        forked = ct.bootstrap_fit(s, fit, B=6, seed=1, keep_replicates=True, workers=3)
+        forked = ct.bootstrap_fit(s, fit, B=6, seed=1, workers=3)
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", _no_pool)
         monkeypatch.setattr(parallel.multiprocessing, "get_all_start_methods",
                             lambda: ["spawn"])
-        serial = ct.bootstrap_fit(s, fit, B=6, seed=1, keep_replicates=True, workers=3)
+        serial = ct.bootstrap_fit(s, fit, B=6, seed=1, workers=3)
         assert serial.replicates == forked.replicates
 
     def test_invalid_workers(self):
