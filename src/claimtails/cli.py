@@ -34,21 +34,6 @@ class InputError(ValueError):
 # ---------------------------------------------------------------------------
 # i/o helpers
 
-def _format_floats(obj):
-    """Round-trip floats through 17 significant digits for byte-stable JSON."""
-    if isinstance(obj, float):
-        return float(f"{obj:.17g}")
-    if isinstance(obj, dict):
-        return {k: _format_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_format_floats(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(f"{float(obj):.17g}")
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
-
-
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", text=True)
@@ -63,7 +48,9 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def write_json(path: Path, obj) -> None:
-    _atomic_write(path, json.dumps(_format_floats(obj), sort_keys=True, indent=2) + "\n")
+    """Floats by their round-tripping repr (np.float64 is a float); other
+    numpy scalars as the Python ones they hold."""
+    _atomic_write(path, json.dumps(obj, sort_keys=True, indent=2, default=np.generic.item) + "\n")
 
 
 def write_csv(path: Path, header: list, rows) -> None:
@@ -100,7 +87,7 @@ def read_loss_csv(path: str, column: str = "loss") -> OrderedSample:
         col = len(header) - 1 - header[::-1].index(column)  # last one wins, as in a dict
         raw = [row[col].strip() if col < len(row) else "" for row in reader if row]
     try:
-        values = np.array([float(text) for text in raw])
+        values = np.array(raw, dtype=float)  # parses each text as float() does
     except ValueError:
         values = None
     if values is None or not np.all(np.isfinite(values) & (values > 0)):
@@ -116,9 +103,6 @@ def read_loss_csv(path: str, column: str = "loss") -> OrderedSample:
         raise InputError(f"no loss values found in {path}")
     return OrderedSample.from_values(values, label=os.path.basename(path))
 
-
-# ---------------------------------------------------------------------------
-# configuration
 
 def read_config_file(path: str) -> dict:
     """Flat key=value config; '#' starts a comment."""
@@ -138,80 +122,14 @@ def read_config_file(path: str) -> dict:
     return out
 
 
-_WEIGHTINGS = {
-    "unweighted": Weighting.UNWEIGHTED,
-    "normalized": Weighting.NORMALIZED,
-    "sqrt": Weighting.SQRT_PREFERENCE,
-}
-_BASE_FAMILIES = ("pareto", "gpd")
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--input", help="input CSV path")
-    p.add_argument("--column", default=None, help="loss column name (default: loss)")
-    p.add_argument("--threshold", type=float, default=None,
-                   help="excess threshold / base scale")
-    p.add_argument("--x-lower", type=float, default=None)
-    p.add_argument("--x-upper", type=float, default=None)
-    p.add_argument("--base-family", choices=_BASE_FAMILIES, default=None)
-    p.add_argument("--weighting", choices=sorted(_WEIGHTINGS), default=None)
-    p.add_argument("--rank-range", default=None, metavar="LO:HI")
-    p.add_argument("--boot-reps", type=int, default=None, metavar="B")
-    p.add_argument("--test-k", type=int, default=None, metavar="K")
-    p.add_argument("--test-reps", type=int, default=None, metavar="R")
-    p.add_argument("--seed", type=int, default=None, metavar="S")
-    p.add_argument("--out", default=None, metavar="DIR")
-    p.add_argument("--margins", choices=["original", "normal", "frechet"],
-                   default=None)
-    p.add_argument("--model", default=None, help="model JSON file")
-
-
-def _merge_config(args: argparse.Namespace) -> dict:
-    cfg = {}
-    if args.config:
-        cfg.update(read_config_file(args.config))
-    for key, value in vars(args).items():
-        if key in ("config", "command", "func") or value is None:
-            continue
-        cfg[key] = value
-    cfg.setdefault("column", "loss")
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("out", "claimtails-out")
-    return cfg
-
-
-def _cfg_float(cfg, key, default=None):
-    if key not in cfg:
-        return default
-    try:
-        return float(cfg[key])
-    except ValueError:
-        raise InputError(f"{key} must be a number, got '{cfg[key]}'") from None
-
-
-def _cfg_int(cfg, key, default=None, minimum=None):
-    if key not in cfg:
-        return default
-    try:
-        value = int(cfg[key])
-    except ValueError:
-        raise InputError(f"{key} must be an integer, got '{cfg[key]}'") from None
-    if minimum is not None and value < minimum:
-        raise InputError(f"{key} must be >= {minimum}, got {value}")
-    return value
-
-
-def _cfg_choice(cfg, key, choices, default):
-    """A config file bypasses argparse, so check the flag's choices here."""
-    value = cfg.get(key, default)
-    if value not in choices:
-        raise InputError(f"{key} must be one of {', '.join(sorted(choices))}, got '{value}'")
-    return value
+def _read_sample(cfg: dict, command: str) -> OrderedSample:
+    if cfg["input"] is None:
+        raise InputError(f"{command} needs --input with a loss CSV")
+    return read_loss_csv(cfg["input"], cfg["column"])
 
 
 def _read_model(cfg: dict, command: str) -> AdjustedModel:
-    if "model" not in cfg:
+    if cfg["model"] is None:
         raise InputError(f"{command} needs --model with a fitted model JSON")
     try:
         return model_from_json(Path(cfg["model"]).read_text())
@@ -219,23 +137,101 @@ def _read_model(cfg: dict, command: str) -> AdjustedModel:
         raise InputError(f"cannot read model file {cfg['model']}: {exc}") from None
 
 
-def _mad_config(cfg: dict) -> MadConfig:
-    weighting = _WEIGHTINGS[_cfg_choice(cfg, "weighting", _WEIGHTINGS, "normalized")]
-    rank_range = None
-    if cfg.get("rank_range"):
+# ---------------------------------------------------------------------------
+# settings: one parser each, for a flag and a config entry alike
+
+def _text(key, value):
+    return value
+
+
+def _number(key, value):
+    try:
+        return float(value)
+    except ValueError:
+        raise InputError(f"{key} must be a number, got '{value}'") from None
+
+
+def _integer(minimum):
+    def parse(key, value):
         try:
-            lo, hi = (int(part) for part in str(cfg["rank_range"]).split(":"))
+            number = int(value)
         except ValueError:
-            raise InputError(
-                f"--rank-range must be LO:HI with integer ranks, got '{cfg['rank_range']}'"
-            ) from None
-        rank_range = (lo, hi)
-    return MadConfig(weighting=weighting, rank_range=rank_range)
+            raise InputError(f"{key} must be an integer, got '{value}'") from None
+        if number < minimum:
+            raise InputError(f"{key} must be >= {minimum}, got {number}")
+        return number
+    return parse
+
+
+def _one_of(*choices):
+    def parse(key, value):
+        if value not in choices:
+            raise InputError(f"{key} must be one of {', '.join(sorted(choices))}, got '{value}'")
+        return value
+    return parse
+
+
+def _rank_range(key, value):
+    """LO:HI as a pair of ints; MadConfig checks that 1 <= LO <= HI."""
+    try:
+        lo, hi = (int(part) for part in value.split(":"))
+    except ValueError:
+        raise InputError(f"--rank-range must be LO:HI with integer ranks, got '{value}'") from None
+    return lo, hi
+
+
+# name: (parser, default, metavar)
+_SETTINGS = {
+    "input": (_text, None, "CSV"),
+    "column": (_text, "loss", "NAME"),
+    "base_family": (_one_of("pareto", "gpd"), "gpd", "{pareto,gpd}"),
+    # fit's default is the family's (see _build_plan), simulate's 0.01
+    "threshold": (_number, None, "X"),
+    "x_lower": (_number, None, "X"),
+    "x_upper": (_number, None, "X"),
+    "weighting": (_one_of(*(w.value for w in Weighting)), "normalized",
+                  "{unweighted,normalized,sqrt}"),
+    "rank_range": (_rank_range, None, "LO:HI"),
+    "boot_reps": (_integer(1), 200, "B"),
+    "test_k": (_integer(3), None, "K"),
+    "test_reps": (_integer(1), 10_000, "R"),
+    "model": (_text, None, "JSON"),
+    "margins": (_one_of(*(m.value for m in gof.Margins)), "original",
+                "{original,normal,frechet}"),
+    "mode": (_one_of("inflation", "mechanism", "thinning"), "inflation",
+             "{inflation,mechanism,thinning}"),
+    "alpha": (_number, 1.0, "A"),
+    "inflation_factor": (_number, 1.05, "F"),
+    "years": (_integer(1), 10, "Y"),
+    "base_rate": (_number, 100.0, "RATE"),
+    "sigma": (_number, 1.0, "S"),
+    "sigma_t": (_number, 1.0, "S"),
+    "n": (_integer(1), 10_000, "N"),
+    "seed": (_integer(0), 0, "S"),
+    "out": (_text, "claimtails-out", "DIR"),
+}
+
+
+def _settings(args: argparse.Namespace) -> dict:
+    """The command's settings, typed: config entries, each overridden by its
+    flag, go through their setting's parser; an unset one takes its default.
+    A config file may hold any command's settings, and nothing else."""
+    given = read_config_file(args.config) if args.config else {}
+    for key in given:
+        if key not in _SETTINGS:
+            raise InputError(f"unknown config key '{key}' in {args.config}")
+    given.update((key, value) for key, value in vars(args).items()
+                 if key in _SETTINGS and value is not None)
+    settings = {}
+    for key in _COMMANDS[args.command][2]:
+        parse, default, _ = _SETTINGS[key]
+        settings[key] = parse(key, given[key]) if key in given else default
+    return settings
 
 
 def _build_plan(cfg: dict, sample: OrderedSample) -> PipelinePlan:
-    family = Family(_cfg_choice(cfg, "base_family", _BASE_FAMILIES, "gpd"))
-    threshold = _cfg_float(cfg, "threshold")
+    family = Family(cfg["base_family"])
+    threshold = cfg["threshold"]
     if family == Family.PARETO:
         # just below the smallest loss; from 2**24 (~1.7e7) up, x1 - 1e-9 rounds back to x1
         x1 = float(sample.values[0])
@@ -246,9 +242,9 @@ def _build_plan(cfg: dict, sample: OrderedSample) -> PipelinePlan:
     return PipelinePlan(
         base_family=family,
         base_fixed=fixed,
-        x_lower=_cfg_float(cfg, "x_lower"),
-        x_upper=_cfg_float(cfg, "x_upper"),
-        config=_mad_config(cfg),
+        x_lower=cfg["x_lower"],
+        x_upper=cfg["x_upper"],
+        config=MadConfig(Weighting(cfg["weighting"]), cfg["rank_range"]),
     )
 
 
@@ -260,12 +256,9 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args)
-    seed = _cfg_int(cfg, "seed", minimum=0)
-    sample = read_loss_csv(cfg["input"], cfg["column"])
-    plan = _build_plan(cfg, sample)
-    result = estimation.fit_pipeline(sample, plan)
+def cmd_fit(cfg: dict) -> int:
+    sample = _read_sample(cfg, "fit")
+    result = estimation.fit_pipeline(sample, _build_plan(cfg, sample))
     out = Path(cfg["out"])
     report = {
         "model": model_to_dict(result.model),
@@ -274,7 +267,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "lower_fit": result.lower_fit.as_dict() if result.lower_fit else None,
         "warnings": list(result.warnings),
         "n": sample.n,
-        "seed": seed,
+        "seed": cfg["seed"],
     }
     write_json(out / "fit_report.json", report)
     # standalone model file, consumable by the qq and simulate subcommands
@@ -293,29 +286,25 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_tail_test(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args)
-    sample = read_loss_csv(cfg["input"], cfg["column"])
-    k = _cfg_int(cfg, "test_k", minimum=3)
-    if k is None:
+def cmd_tail_test(cfg: dict) -> int:
+    sample = _read_sample(cfg, "tail-test")
+    if cfg["test_k"] is None:
         raise InputError("tail test needs --test-k")
-    reps = _cfg_int(cfg, "test_reps", 10_000, minimum=1)
-    result = gof.pareto_tail_test(sample, k, reps=reps, seed=_cfg_int(cfg, "seed", minimum=0))
+    result = gof.pareto_tail_test(sample, cfg["test_k"], reps=cfg["test_reps"], seed=cfg["seed"])
     out = Path(cfg["out"])
     write_json(out / "tail_test.json", result.as_dict())
     print(f"m={result.m} k={result.k} p_value={result.p_value:.4f}")
     return 0
 
 
-def cmd_bootstrap(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args)
-    sample = read_loss_csv(cfg["input"], cfg["column"])
+def cmd_bootstrap(cfg: dict) -> int:
+    sample = _read_sample(cfg, "bootstrap")
     plan = _build_plan(cfg, sample)
-    B = _cfg_int(cfg, "boot_reps", 200, minimum=1)
+    B = cfg["boot_reps"]
     # replicates on every CPU
     summary = resampling.bootstrap_fit(
         sample, lambda resample: estimation.fit_pipeline(resample, plan).theta,
-        B, _cfg_int(cfg, "seed", minimum=0), workers=_cpu_count(),
+        B, cfg["seed"], workers=_cpu_count(),
     )
     out = Path(cfg["out"])
     write_json(out / "bootstrap.json", summary.as_dict())
@@ -326,18 +315,15 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args)
-    out = Path(cfg["out"])
-    seed = _cfg_int(cfg, "seed", minimum=0)
-    mode = cfg.get("mode", "inflation")
-    if mode == "inflation":
+def cmd_simulate(cfg: dict) -> int:
+    out, seed, n = Path(cfg["out"]), cfg["seed"], cfg["n"]
+    if cfg["mode"] == "inflation":
         sc = claim_process.InflationScenario(
-            alpha=_cfg_float(cfg, "alpha", 1.0),
-            inflation_factor=_cfg_float(cfg, "inflation_factor", 1.05),
-            years=_cfg_int(cfg, "years", 10, minimum=1),
-            threshold=_cfg_float(cfg, "threshold", 0.01),
-            base_rate=_cfg_float(cfg, "base_rate", 100.0),
+            alpha=cfg["alpha"],
+            inflation_factor=cfg["inflation_factor"],
+            years=cfg["years"],
+            threshold=0.01 if cfg["threshold"] is None else cfg["threshold"],
+            base_rate=cfg["base_rate"],
         )
         sim = claim_process.simulate_inflation_scenario(sc, seed)
         for kind in ("raw", "inflated"):
@@ -345,30 +331,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 write_csv(out / f"{kind}_year{year:02d}.csv", ["loss"],
                           ((v,) for v in s.values.tolist()))
         print(f"wrote {sc.years} years of raw/inflated samples to {out}")
-    elif mode == "mechanism":
+    elif cfg["mode"] == "mechanism":
         model = _read_model(cfg, "mechanism simulation")
-        n = _cfg_int(cfg, "n", 10_000, minimum=1)
         s = claim_process.sample_mechanism(model, n, seed)
         write_csv(out / "mechanism_sample.csv", ["loss"],
                   ((v,) for v in s.values.tolist()))
         print(f"wrote {n} mechanism draws to {out}")
-    elif mode == "thinning":
-        sigma = _cfg_float(cfg, "sigma", 1.0)
-        sigma_t = _cfg_float(cfg, "sigma_t", 1.0)
-        n = _cfg_int(cfg, "n", 10_000, minimum=1)
-        s = claim_process.sample_thinned(sigma, sigma_t, n, seed)
+    else:
+        s = claim_process.sample_thinned(cfg["sigma"], cfg["sigma_t"], n, seed)
         write_csv(out / "thinned_sample.csv", ["loss"], ((v,) for v in s.values.tolist()))
         print(f"wrote {n} thinned draws to {out}")
-    else:
-        raise InputError(f"unknown simulation mode '{mode}'")
     return 0
 
 
-def cmd_qq(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args)
-    sample = read_loss_csv(cfg["input"], cfg["column"])
+def cmd_qq(cfg: dict) -> int:
+    sample = _read_sample(cfg, "qq")
     model = _read_model(cfg, "qq")
-    margins = cfg.get("margins", "original")
+    margins = cfg["margins"]
     coords = gof.qq_coordinates(sample, model, gof.Margins(margins))
     out = Path(cfg["out"])
     write_csv(
@@ -380,31 +359,41 @@ def cmd_qq(args: argparse.Namespace) -> int:
     return 0
 
 
+_SAMPLE = ("input", "column")
+_PLAN = ("base_family", "threshold", "x_lower", "x_upper", "weighting", "rank_range")
+
+# name: (function, help, the settings it reads)
+_COMMANDS = {
+    "fit": (cmd_fit, "fit the composite tail-adjusted model to a loss CSV",
+            (*_SAMPLE, *_PLAN, "seed", "out")),
+    "tail-test": (cmd_tail_test, "Monte-Carlo longest-run test for a Pareto tail",
+                  (*_SAMPLE, "test_k", "test_reps", "seed", "out")),
+    "bootstrap": (cmd_bootstrap, "bootstrap the configured fit",
+                  (*_SAMPLE, *_PLAN, "boot_reps", "seed", "out")),
+    "simulate": (cmd_simulate, "simulate mechanism/thinning/inflation samples",
+                 ("mode", "alpha", "inflation_factor", "years", "threshold", "base_rate",
+                  "model", "sigma", "sigma_t", "n", "seed", "out")),
+    "qq": (cmd_qq, "emit Q-Q plot coordinates", (*_SAMPLE, "model", "margins", "out")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes --config and its own settings, as strings."""
     parser = argparse.ArgumentParser(
         prog="claimtails",
         description="Heavy-tail claim size modeling and inference toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, doc in (
-        ("fit", cmd_fit, "fit the composite tail-adjusted model to a loss CSV"),
-        ("tail-test", cmd_tail_test, "Monte-Carlo longest-run test for a Pareto tail"),
-        ("bootstrap", cmd_bootstrap, "bootstrap the configured fit"),
-        ("simulate", cmd_simulate, "simulate mechanism/thinning/inflation samples"),
-        ("qq", cmd_qq, "emit Q-Q plot coordinates"),
-    ):
-        p = sub.add_parser(name, help=doc)
-        _add_common(p)
-        if name == "simulate":
-            p.add_argument("--mode", choices=["inflation", "mechanism", "thinning"],
-                           default=None)
-            p.add_argument("--alpha", type=float, default=None)
-            p.add_argument("--inflation-factor", type=float, default=None)
-            p.add_argument("--years", type=int, default=None)
-            p.add_argument("--base-rate", type=float, default=None)
-            p.add_argument("--sigma", type=float, default=None)
-            p.add_argument("--sigma-t", type=float, default=None)
-            p.add_argument("-n", type=int, default=None)
+    for name, (fn, doc, keys) in _COMMANDS.items():
+        # no abbreviations: qq would read --mode as --model
+        p = sub.add_parser(name, help=doc, allow_abbrev=False)
+        p.add_argument("--config", metavar="FILE",
+                       help="key=value config file; flags override it")
+        for key in keys:
+            _, default, metavar = _SETTINGS[key]
+            p.add_argument(f"-{key}" if len(key) == 1 else "--" + key.replace("_", "-"),
+                           dest=key, metavar=metavar,
+                           help=None if default is None else f"default: {default}")
         p.set_defaults(func=fn)
     return parser
 
@@ -412,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_settings(args))
     except (ValueError, OSError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

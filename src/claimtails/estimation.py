@@ -69,11 +69,15 @@ class MadConfig:
     weighting: Weighting = Weighting.NORMALIZED
     rank_range: Optional[tuple] = None  # inclusive (i_lo, i_hi), 1-based
 
+    def __post_init__(self):
+        if self.rank_range is not None and not 1 <= self.rank_range[0] <= self.rank_range[1]:
+            raise ValueError(f"rank range {tuple(self.rank_range)} must have 1 <= LO <= HI")
+
     def resolve_ranks(self, n: int) -> tuple:
         if self.rank_range is None:
             return 1, n
         i_lo, i_hi = self.rank_range
-        if not (1 <= i_lo <= i_hi <= n):
+        if i_hi > n:
             raise ValueError(f"rank range {self.rank_range} invalid for n={n}")
         return int(i_lo), int(i_hi)
 
@@ -707,6 +711,11 @@ def fit_gpd_ml(sample: OrderedSample, loc: float = 0.0) -> dict:
 # ---------------------------------------------------------------------------
 # tail estimators
 
+def hill_mean(top: np.ndarray, threshold: float) -> float:
+    """Hill estimate of the extreme value index: mean log excess over `threshold`."""
+    return float(np.mean(np.log(top / threshold)))
+
+
 def hill_estimate(sample: OrderedSample, k: int) -> dict:
     """Hill estimate of the extreme value index from the top k order
     statistics, with threshold x_{n-k}."""
@@ -716,8 +725,7 @@ def hill_estimate(sample: OrderedSample, k: int) -> dict:
     threshold = float(sample.values[n - k - 1])
     if threshold <= 0:
         raise ValueError("threshold order statistic must be positive")
-    top = sample.values[n - k :]
-    gamma = float(np.mean(np.log(top / threshold)))
+    gamma = hill_mean(sample.values[n - k :], threshold)
     return {"gamma_hat": gamma, "se": gamma / np.sqrt(k), "k": k, "threshold": threshold}
 
 

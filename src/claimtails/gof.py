@@ -12,6 +12,7 @@ from typing import Union
 import numpy as np
 
 from .core_dist import DistributionSpec, OrderedSample, cdf, edf_positions, pareto
+from .estimation import hill_mean
 from .tail_model import AdjustedModel, adjusted_cdf, adjusted_quantile
 
 
@@ -121,8 +122,7 @@ def pareto_tail_test(
     if tail[0] <= sigma:
         _warnings.warn("ties at the tail threshold; test proceeds", stacklevel=2)
         tail = np.maximum(tail, sigma * (1 + 1e-12))
-    gamma_hat = float(np.mean(np.log(tail / sigma)))
-    alpha_hat = 1.0 / gamma_hat
+    alpha_hat = 1.0 / hill_mean(tail, sigma)
     m_obs = _tail_m(tail, sigma, alpha_hat)
 
     rng = np.random.default_rng(seed)

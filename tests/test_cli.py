@@ -11,7 +11,14 @@ import pytest
 
 import claimtails as ct
 from claimtails import estimation, gof, parallel
-from claimtails.cli import InputError, main, read_config_file, read_loss_csv, write_csv
+from claimtails.cli import (
+    InputError,
+    build_parser,
+    main,
+    read_config_file,
+    read_loss_csv,
+    write_csv,
+)
 from claimtails.estimation import FitFailedError
 from claimtails.tail_model import ProbeTooFarError
 
@@ -146,8 +153,9 @@ class TestConfig:
                                         capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
-        rc = main([command, "--input", str(loss_csv), "--config", str(cfg),
-                   "--boot-reps", "2", "--out", str(tmp_path / "o")])
+        boot_reps = ["--boot-reps", "2"] if command == "bootstrap" else []
+        rc = main([command, "--input", str(loss_csv), "--config", str(cfg), *boot_reps,
+                   "--out", str(tmp_path / "o")])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and allowed in err
@@ -172,6 +180,99 @@ class TestConfig:
         assert rc == 1
         err = capsys.readouterr().err
         assert err == f"error: --rank-range must be LO:HI with integer ranks, got '{value}'\n"
+
+    @pytest.mark.parametrize("value", ["0:3", "5:2"])
+    def test_rank_range_out_of_order(self, value, tmp_path, loss_csv, capsys):
+        rc = main(["fit", "--input", str(loss_csv), "--rank-range", value,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        lo, hi = value.split(":")
+        assert capsys.readouterr().err == f"error: rank range ({lo}, {hi}) must have 1 <= LO <= HI\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_rank_range_is_clipped_to_the_sample(self, tmp_path, loss_csv):
+        out = tmp_path / "o"
+        assert main(["fit", "--input", str(loss_csv), "--rank-range", "3:700",
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "fit_report.json").read_text())
+        assert report["base_fit"]["rank_range"] == [3, 600]
+
+
+# the flags each subcommand reads
+SETTINGS = {
+    "fit": {"--input", "--column", "--base-family", "--threshold", "--x-lower", "--x-upper",
+            "--weighting", "--rank-range", "--seed", "--out"},
+    "tail-test": {"--input", "--column", "--test-k", "--test-reps", "--seed", "--out"},
+    "bootstrap": {"--input", "--column", "--base-family", "--threshold", "--x-lower",
+                  "--x-upper", "--weighting", "--rank-range", "--boot-reps", "--seed", "--out"},
+    "simulate": {"--mode", "--alpha", "--inflation-factor", "--years", "--threshold",
+                 "--base-rate", "--model", "--sigma", "--sigma-t", "-n", "--seed", "--out"},
+    "qq": {"--input", "--column", "--model", "--margins", "--out"},
+}
+
+
+def _dest(flag):
+    return flag.lstrip("-").replace("-", "_")
+
+
+class TestSettings:
+    @pytest.mark.parametrize("command", sorted(SETTINGS))
+    def test_each_command_accepts_exactly_its_settings(self, command, capsys):
+        parser = build_parser()
+        dests = {_dest(flag) for flag in SETTINGS[command]}
+        assert set(vars(parser.parse_args([command]))) == dests | {"command", "config", "func"}
+        for flag in SETTINGS[command]:
+            assert getattr(parser.parse_args([command, flag, "v"]), _dest(flag)) == "v"
+        for flag in sorted(set().union(*SETTINGS.values()) - SETTINGS[command]):
+            with pytest.raises(SystemExit) as ei:
+                main([command, flag, "9"])
+            assert ei.value.code == 2
+            assert f"unrecognized arguments: {flag} 9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "bootstrap", "tail-test", "qq"])
+    def test_missing_input(self, command, tmp_path, capsys):
+        assert main([command, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {command} needs --input with a loss CSV\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_config_key(self, tmp_path, loss_csv, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("x_upper = 20\nx-uper = 20\n")
+        rc = main(["fit", "--input", str(loss_csv), "--config", str(cfg),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: unknown config key 'x_uper' in {cfg}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_other_commands_keys_are_allowed(self, tmp_path, loss_csv):
+        # one config file serves every subcommand; each reads only its own keys
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("test_k = 10\ntest_reps = 50\nboot_reps = four\nmode = foo\n")
+        out = tmp_path / "o"
+        assert main(["tail-test", "--input", str(loss_csv), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "tail_test.json").read_text())["reps"] == 50
+
+    @pytest.mark.parametrize("command,key,value,message", [
+        ("fit", "seed", "abc", "seed must be an integer, got 'abc'"),
+        ("bootstrap", "weighting", "foo",
+         "weighting must be one of normalized, sqrt, unweighted, got 'foo'"),
+        ("qq", "margins", "foo", "margins must be one of frechet, normal, original, got 'foo'"),
+        ("simulate", "mode", "foo", "mode must be one of inflation, mechanism, thinning, got 'foo'"),
+        ("simulate", "n", "0", "n must be >= 1, got 0"),
+    ])
+    def test_flag_and_config_entry_give_one_error(self, command, key, value, message, tmp_path,
+                                                   loss_csv, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        flag = "-n" if key == "n" else f"--{key}"
+        inputs = [] if command == "simulate" else ["--input", str(loss_csv)]
+        errors = []
+        for source in ([flag, value], ["--config", str(cfg)]):
+            assert main([command, *inputs, *source, "--out", str(tmp_path / "o")]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors == [f"error: {message}\n"] * 2
+        assert not (tmp_path / "o").exists()
 
 
 class TestFitCommand:

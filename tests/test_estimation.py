@@ -93,6 +93,12 @@ class TestMadObjective:
         with pytest.raises(ValueError):
             ct.mad_objective(s, half_cdf, MadConfig(rank_range=(2, 5)))
 
+    @pytest.mark.parametrize("rank_range", [(0, 3), (5, 2)])
+    def test_rank_range_checked_when_built(self, rank_range):
+        with pytest.raises(ValueError) as ei:
+            MadConfig(rank_range=rank_range)
+        assert str(ei.value) == f"rank range {rank_range} must have 1 <= LO <= HI"
+
     def test_model_sees_only_the_rank_range(self):
         s = ct.OrderedSample.from_values(np.arange(1.0, 11.0))
         seen = []

@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 import claimtails as ct
 from claimtails import gof
+from claimtails.estimation import hill_mean
 from claimtails.gof import Margins, _longest_runs_rows
 from oracles import pareto_simulated_m
 
@@ -153,6 +154,14 @@ class TestParetoTailTest:
         assert 0.0 <= a.p_value <= 1.0
         assert a.alpha_hat > 0
         assert a.sigma == float(s.values[s.n - 2 - 50])
+
+    def test_hill_mean_over_the_threshold_below_the_tail(self):
+        # the test's scale is x_{n-1-k}, one below hill_estimate's x_{n-k}
+        s = ct.sample(ct.pareto(1.2, 1.0), 300, seed=5)
+        got = ct.pareto_tail_test(s, 50, reps=10, seed=1)
+        assert got.alpha_hat == 1.0 / hill_mean(s.values[-50:], float(s.values[-52]))
+        assert ct.hill_estimate(s, 50)["gamma_hat"] == hill_mean(s.values[-50:],
+                                                                 float(s.values[-51]))
 
     @pytest.mark.parametrize("k", [50, 500])
     def test_row_blocks_match_one_block(self, k):
