@@ -4,6 +4,7 @@ mixing, size-dependent thinning and the inflated point-process demonstration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,14 +121,12 @@ class InflationScenario:
     base_rate: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.inflation_factor <= 0:
-            raise ValueError("inflation factor must be positive")
+        for name in ("alpha", "inflation_factor", "threshold", "base_rate"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):  # NaN fails `value > 0`
+                raise ValueError(f"{name} must be positive and finite")
         if self.years < 1:
             raise ValueError("years must be >= 1")
-        if self.threshold <= 0 or self.base_rate <= 0:
-            raise ValueError("threshold and base_rate must be positive")
 
 
 def simulate_inflation_scenario(sc: InflationScenario, seed) -> dict:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import tempfile
@@ -146,9 +147,12 @@ def _text(key, value):
 
 def _number(key, value):
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise InputError(f"{key} must be a number, got '{value}'") from None
+    if not math.isfinite(number):
+        raise InputError(f"{key} must be a finite number, got '{value}'")
+    return number
 
 
 def _integer(minimum):

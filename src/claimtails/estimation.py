@@ -56,10 +56,13 @@ class Weighting(str, Enum):
     SQRT_PREFERENCE = "sqrt"
 
 
-# each fit step's perturbed restarts, step tolerance and evaluations per restart
-_RESTARTS = 5
+# each run's step tolerance and evaluations
 _XTOL = 1e-8
 _MAX_EVALS = 5000
+# the upper step's starts perturbed from its x0: its objective has a basin in
+# each gap between tail points, where the base and lower steps have one basin
+# and run from x0 alone
+_UPPER_PERTURBED = 4
 # a fitted p_upper within this distance of 0 or 1 is reported as 0 or 1
 P_UPPER_TOL = 1e-3
 
@@ -379,20 +382,23 @@ def _lockstep(evaluate: Callable, runs: list) -> list:
 
 
 def _minimize_restarts(
-    evaluate: Callable, x0: np.ndarray, lb: list, ub: list, extra: Sequence = (),
+    evaluate: Callable, x0: np.ndarray, lb: list, ub: list, perturbed: int = 0,
+    extra: Sequence = (),
 ) -> tuple:
-    """Projected BFGS with deterministic perturbed restarts in transformed space,
-    then one restart from each point of `extra`.
+    """Projected BFGS in transformed space from `x0`, from `perturbed`
+    deterministic perturbations of it, then from each point of `extra`.
 
     The restarts run in lockstep (see `_lockstep`): `evaluate` gets a list of
     points, one per restart still going, and returns their (value, gradient)
     pairs.
     Returns (best_x, best_f, converged, total_evals, runs), where `runs`
-    holds each restart's (start, fun, x, nfev), in restart order.
+    holds each restart's (start, fun, x, nfev), in restart order.  One run
+    has converged when it stopped before `_MAX_EVALS` evaluations; several
+    when the best two outside the penalty region agree in value or point.
     """
     rng = np.random.default_rng(20240817)
     offsets = [np.zeros_like(x0)] + [
-        0.35 * rng.standard_normal(x0.size) for _ in range(_RESTARTS - 1)
+        0.35 * rng.standard_normal(x0.size) for _ in range(perturbed)
     ]
     points = [x0 + offset for offset in offsets] + list(extra)
     starts = [np.clip(x, lb, ub).tolist() for x in points]
@@ -407,7 +413,9 @@ def _minimize_restarts(
     results.sort(key=lambda t: t[0])
     best_f, best_x = results[0]
     converged = False
-    if len(results) >= 2:
+    if len(runs) == 1:
+        converged = runs[0][3] < _MAX_EVALS
+    elif len(results) >= 2:
         f2, x2 = results[1]
         close_f = abs(best_f - f2) <= 1e-6 * max(1.0, abs(best_f))
         close_x = np.max(np.abs(np.subtract(best_x, x2))) < 1e-3
@@ -612,11 +620,14 @@ def _fit_generic(
     x0_natural: dict,
     config: MadConfig,
     bounds: Optional[dict] = None,
+    perturbed: int = 0,
     extra: Sequence = (),
 ) -> FitResult:
     """Minimum-AD fit of `free_names` within their natural (lo, hi) `bounds`,
-    whose `candidates` are the (params_of, model_of) pair of `_batch_objective`;
-    each point of `extra`, a list of natural values, adds a restart."""
+    whose `candidates` are the (params_of, model_of) pair of `_batch_objective`,
+    from `x0_natural` and `perturbed` perturbations of it (see
+    `_minimize_restarts`); each point of `extra`, a list of natural values,
+    adds a restart."""
     fwd, inv, slope = zip(*map(_transform, free_names))
     bounds = bounds or {}
     box = [(i, *bounds[nm]) for i, nm in enumerate(free_names) if nm in bounds]
@@ -649,7 +660,8 @@ def _fit_generic(
         lb.append(float(lo))
         ub.append(float(hi))
     extra = [np.array([g(v) for g, v in zip(fwd, point)]) for point in extra]
-    best_x, best_f, converged, evals, runs = _minimize_restarts(evaluate, x0, lb, ub, extra)
+    best_x, best_f, converged, evals, runs = _minimize_restarts(
+        evaluate, x0, lb, ub, perturbed, extra)
     direction = _objective_direction(config.weighting)
     starts, ends = (natural([run[i] for run in runs]) for i in (0, 2))
     restarts = tuple(
@@ -789,8 +801,9 @@ def fit_pipeline(sample: OrderedSample, plan: PipelinePlan) -> PipelineResult:
     """Three-step composite fit: base on the middle range, upper adjuster and
     transition probability on the tail, lower adjuster on the head.
 
-    The upper step adds a restart at each of the two lowest minima of a grid
-    scan (`_tail_scan`).
+    The base and lower steps, each with one basin, run from one start.  The
+    upper step runs from its x0, `_UPPER_PERTURBED` perturbations of it and
+    the two lowest minima of a grid scan (`_tail_scan`).
     """
     if plan.x_lower is not None and plan.x_upper is not None and plan.x_lower >= plan.x_upper:
         raise ValueError(f"x_lower ({plan.x_lower}) must be below x_upper ({plan.x_upper})")
@@ -848,7 +861,7 @@ def fit_pipeline(sample: OrderedSample, plan: PipelinePlan) -> PipelineResult:
 
             upper_fit = _fit_generic(
                 tail, _tail_candidates(plan.x_upper, ls_tail, ls_at), ["p_upper", "beta", "sigma"],
-                x0, config, {"beta": (0.5, 100.0)},
+                x0, config, {"beta": (0.5, 100.0)}, _UPPER_PERTURBED,
                 _tail_scan(plan.x_upper, tail.values, ls_tail, ls_at, config),
             )
             p_hat = upper_fit.theta["p_upper"]

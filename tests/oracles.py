@@ -5,7 +5,9 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from claimtails.core_dist import cdf, edf_positions, survival
+from claimtails import estimation
+from claimtails.core_dist import KERNELS, OrderedSample, cdf, edf_positions, survival
+from claimtails.estimation import MadConfig
 from claimtails.gof import _longest_runs_rows
 from claimtails.tail_model import _lower_cdf, _upper_survival
 
@@ -60,3 +62,28 @@ def pareto_simulated_m(rng, sims, sigma, gamma_hat):
     model = np.power(ratio, -1.0 / gamma_rep[:, None], out=ratio)
     np.subtract(1.0, model, out=model)
     return _longest_runs_rows(edf_positions(sims.shape[1] - 1)[None, :] > model)
+
+
+def five_start_fit_mad(sample, family, fixed=None, config=MadConfig()):
+    """`fit_mad` from five starts, its x0 and four perturbations of it, as
+    the base step ran before it ran from one start; the best run wins."""
+    kernel = KERNELS[family]
+    fixed = {**kernel.fixed, **(fixed or {})}
+    free = [nm for nm in kernel.names if nm not in fixed]
+    start = kernel.start(sample.values, fixed)
+    candidates = estimation._family_candidates(family, fixed, free)
+    return estimation._fit_generic(sample, candidates, free, {nm: start[nm] for nm in free},
+                                   config, perturbed=4)
+
+
+def five_start_lower_fit(sample, plan, base):
+    """`fit_pipeline`'s lower step under the fixed `base`, from five starts,
+    as it ran before it ran from one start."""
+    head = OrderedSample.from_values(sample.values[sample.values < plan.x_lower])
+    lf_head = estimation._log1mexp(estimation._log_survival(base, head.values))
+    lf_at = estimation._log1mexp(estimation._log_survival(base, plan.x_lower))
+    return estimation._fit_generic(
+        head, estimation._head_candidates(plan.x_lower, lf_head, lf_at), ["gamma_adj_l"],
+        {"gamma_adj_l": -0.5}, MadConfig(plan.config.weighting), {"gamma_adj_l": (-5.0, -0.01)},
+        perturbed=4,
+    )

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp, kstest
@@ -209,3 +211,10 @@ class TestInflation:
             ct.InflationScenario(0.0, 1.05, 10, 1.0, 300.0)
         with pytest.raises(ValueError):
             ct.InflationScenario(1.5, 1.05, 0, 1.0, 300.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["alpha", "inflation_factor", "threshold", "base_rate"])
+    def test_non_finite_scenario(self, name, value):
+        given = dict(alpha=1.5, inflation_factor=1.05, years=10, threshold=1.0, base_rate=300.0)
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
+            ct.InflationScenario(**{**given, name: value})

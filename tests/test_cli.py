@@ -173,6 +173,21 @@ class TestConfig:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command,key", [
+        *(("fit", key) for key in ("threshold", "x_lower", "x_upper")),
+        *(("simulate", key) for key in ("alpha", "inflation_factor", "threshold", "base_rate",
+                                        "sigma", "sigma_t")),
+    ])
+    def test_non_finite_number_is_named(self, command, key, value, tmp_path, loss_csv, capsys):
+        out = tmp_path / "o"
+        mode = {"sigma": "thinning", "sigma_t": "thinning"}.get(key, "inflation")
+        given = ["--input", str(loss_csv)] if command == "fit" else ["--mode", mode]
+        rc = main([command, *given, f"--{key.replace('_', '-')}={value}", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {key} must be a finite number, got '{value}'\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["5", "a:b"])
     def test_malformed_rank_range(self, value, tmp_path, loss_csv, capsys):
         rc = main(["fit", "--input", str(loss_csv), "--rank-range", value,
@@ -426,10 +441,12 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("value", ["inf", "nan"])
     @pytest.mark.parametrize("flag", ["--sigma", "--sigma-t"])
     def test_thinning_scales_must_be_finite(self, flag, value, tmp_path, capsys):
+        # refused as a setting, before the library's own check
         out = tmp_path / "thin"
         rc = main(["simulate", "--mode", "thinning", flag, value, "-n", "10", "--out", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err == "error: sigma and sigma_t must be positive and finite\n"
+        key = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {key} must be a finite number, got '{value}'\n"
         assert not out.exists()
 
 

@@ -12,7 +12,7 @@ import claimtails as ct
 from claimtails import estimation, resampling
 from claimtails.estimation import FitFailedError, LogDomainError, MadConfig, Weighting, mad_weights
 from claimtails.tail_model import ModelInvalidError
-from oracles import head_cdf, tail_cdf
+from oracles import five_start_fit_mad, five_start_lower_fit, head_cdf, tail_cdf
 
 
 def half_cdf(x):
@@ -210,8 +210,7 @@ class TestFitMad:
         assert set(fit.theta) == {"alpha"}
         assert abs(fit.theta["alpha"] - 1.4) < 0.1
 
-    def test_subrange_fit_unbiased(self, monkeypatch):
-        monkeypatch.setattr(estimation, "_RESTARTS", 2)
+    def test_subrange_fit_unbiased(self):
         spec = ct.gpd(0.5, 1.0)
         cfg = MadConfig(rank_range=(201, 1800))
         gammas = []
@@ -347,14 +346,15 @@ def full_recovery_inputs():
     return s, ct.PipelinePlan(base_family=ct.Family.GPD, x_lower=30.0, x_upper=800.0)
 
 
-# recorded with the projected BFGS steps, then with the fit in log space
+# recorded with the projected BFGS steps, then with the fit in log space, then
+# with one-start base and lower steps
 FULL_RECOVERY_MODEL_JSON = (
-    '{"base": {"family": "gpd", "params": {"gamma": 1.008761869415543, "loc": 0.0, '
-    '"sigma": 97.58165822626461}}, "lower": {"adjuster": {"family": "gpd", "params": '
-    '{"gamma": -0.7314034678146389, "loc": 0.0, "sigma": 21.94210403443917}}, '
+    '{"base": {"family": "gpd", "params": {"gamma": 1.0087618695102765, "loc": 0.0, '
+    '"sigma": 97.58165821961425}}, "lower": {"adjuster": {"family": "gpd", "params": '
+    '{"gamma": -0.7314034678272813, "loc": 0.0, "sigma": 21.94210403481844}}, '
     '"x_lower": 30.0}, "upper": {"adjuster": {"family": "shifted_weibull", "params": '
-    '{"beta": 1.9317516999358049, "shift": 800.0, "sigma": 2071.5630715434468}}, '
-    '"p_upper": 0.6028004564430982, "x_upper": 800.0}}'
+    '{"beta": 1.93175169933238, "shift": 800.0, "sigma": 2071.5630715727125}}, '
+    '"p_upper": 0.6028004565387163, "x_upper": 800.0}}'
 )
 
 
@@ -431,26 +431,29 @@ class TestPipeline:
 
         monkeypatch.setattr(estimation, "mad_weights", counting_weights)
         monkeypatch.setattr(estimation, "mad_objective", counting_objective)
-        ct.fit_pipeline(s, plan)
-        # each step calls the objective more often than it has restarts
+        out = ct.fit_pipeline(s, plan)
+        # each step calls the objective more often than the weights are built,
+        # a one-start step once per evaluation
         calls = Counter(evaluations)
         assert set(calls) == {s.label, "upper tail", "lower head"}
-        assert min(calls.values()) > estimation._RESTARTS
+        assert calls[s.label] == out.base_fit.evaluations
+        assert calls["lower head"] == out.lower_fit.evaluations
+        assert min(calls.values()) > 3
         assert len(weight_calls) <= 3
 
     def test_bootstrap_replicates_are_reproduced(self):
-        # recorded with the projected BFGS steps, the upper step's scan starts
-        # and the fit in log space; the first replicate's upper step ends on
-        # a ridge at the beta bound, where its value is flat to ~1e-9
-        # relative along p_upper, so p_upper is loosely determined; the third
-        # ends on the bound too
+        # recorded with the projected BFGS steps, the upper step's scan starts,
+        # the fit in log space and one-start base and lower steps; the first
+        # replicate's upper step ends on a ridge at the beta bound, where its
+        # value is flat to ~1e-9 relative along p_upper, so p_upper is loosely
+        # determined; the third ends on the bound too
         recorded = [
             {"gamma": 0.5250016384242905, "sigma": 0.9750144446860092,
              "p_upper": 0.3796112176096061, "beta_adj_u": 100.0,
              "sigma_adj_u": 20.206748695328013, "gamma_adj_l": -0.39131835874713516},
-            {"gamma": 0.5184657902836243, "sigma": 1.1099919664713025,
-             "p_upper": 0.32992435332611114, "beta_adj_u": 3.802077764957307,
-             "sigma_adj_u": 2.9093297608263033, "gamma_adj_l": -0.24972074618225634},
+            {"gamma": 0.5184657951928255, "sigma": 1.1099919645929692,
+             "p_upper": 0.3299243593154879, "beta_adj_u": 3.8020776748508407,
+             "sigma_adj_u": 2.9093297782135674, "gamma_adj_l": -0.24972074643328765},
             {"gamma": 0.6700798774502413, "sigma": 0.908677630171837,
              "p_upper": 0.5668012456788248, "beta_adj_u": 100.0,
              "sigma_adj_u": 11.83439524354227, "gamma_adj_l": -0.48666580250583014},
@@ -532,7 +535,7 @@ class TestPipeline:
             r"is not above the base's left endpoint 0\.5$"
         )):
             ct.fit_pipeline(s, plan)
-        assert len(runs) == estimation._RESTARTS  # the base step's only
+        assert len(runs) == 1  # the base step's only
 
     def test_sparse_tail_warns_and_skips(self):
         s = ct.sample(ct.gpd(0.5, 2.0), 500, seed=12)
@@ -623,9 +626,12 @@ class TestRestartWorkers:
         out = ct.fit_pipeline(s, plan)
         for step in ("base_fit", "upper_fit", "lower_fit"):
             fit = getattr(out, step)
-            # the upper step adds a restart at each of its scan's lowest grid minima
-            scan = estimation._SCAN_STARTS if step == "upper_fit" else 0
-            assert len(fit.restarts) == estimation._RESTARTS + scan
+            # the upper step runs from x0, its perturbations and its scan's
+            # lowest grid minima; the base and lower steps from x0 alone
+            runs = 1
+            if step == "upper_fit":
+                runs += estimation._UPPER_PERTURBED + estimation._SCAN_STARTS
+            assert len(fit.restarts) == runs
             assert sum(nfev for *_, nfev in fit.restarts) == fit.evaluations
             direction = -1.0 if fit.config.weighting == Weighting.UNWEIGHTED else 1.0
             best = min(fit.restarts, key=lambda restart: direction * restart[2])
@@ -635,6 +641,7 @@ class TestRestartWorkers:
 
     @pytest.mark.parametrize("restarts", [1, 5])
     def test_every_restart_penalised(self, restarts, monkeypatch):
+        fit = ct.fit_mad if restarts == 1 else five_start_fit_mad
         objective = estimation.mad_objective
 
         def out_of_domain(sample, model, config):
@@ -646,16 +653,69 @@ class TestRestartWorkers:
             return objective(sample, ones, config)
 
         monkeypatch.setattr(estimation, "mad_objective", out_of_domain)
-        monkeypatch.setattr(estimation, "_RESTARTS", restarts)
         s = ct.sample(ct.gpd(0.5, 1.0), 200, seed=0)
         with pytest.raises(FitFailedError,
                            match="^every optimizer restart ended in the penalty region$"):
-            ct.fit_mad(s, ct.Family.GPD)
+            fit(s, ct.Family.GPD)
 
     @pytest.mark.parametrize("restarts", [1, 5])
     def test_fit_starts_no_process(self, restarts, monkeypatch):
         monkeypatch.setattr(os, "fork", _no_fork)
-        monkeypatch.setattr(estimation, "_RESTARTS", restarts)
         s = ct.sample(ct.gpd(0.5, 1.0), 200, seed=0)
-        fit = ct.fit_mad(s, ct.Family.GPD)
+        fit = (ct.fit_mad if restarts == 1 else five_start_fit_mad)(s, ct.Family.GPD)
+        assert len(fit.restarts) == restarts
         assert fit.evaluations > 0
+
+
+def _no_worse(one, five) -> bool:
+    """Whether the one-start fit's value is no worse than the five-start
+    fit's by more than 1e-9 relative, in the direction the fit optimizes."""
+    direction = -1.0 if one.config.weighting == Weighting.UNWEIGHTED else 1.0
+    bar = 1e-9 * abs(five.objective_value)
+    return direction * (one.objective_value - five.objective_value) <= bar
+
+
+class TestOneStart:
+    """The base and lower steps, each with one basin, run from one start and
+    end where five starts end."""
+
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    def test_pipeline_base_and_lower_match_five_starts(self, weighting):
+        plan = ct.PipelinePlan(
+            ct.Family.GPD, x_lower=0.2, x_upper=20.0, config=MadConfig(weighting=weighting))
+        for seed in (4001, 4002, 4003):
+            s = ct.sample_mechanism(BENCH_LAW, 2000, seed)
+            out = ct.fit_pipeline(s, plan)
+            assert len(out.base_fit.restarts) == len(out.lower_fit.restarts) == 1
+            base = five_start_fit_mad(s, ct.Family.GPD, plan.base_fixed, out.base_fit.config)
+            assert _no_worse(out.base_fit, base), seed
+            assert _no_worse(out.lower_fit, five_start_lower_fit(s, plan, out.model.base)), seed
+
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    @pytest.mark.parametrize("fixed", [None, {"sigma": 2.0}], ids=["sigma-free", "sigma-fixed"])
+    def test_pareto_fit_matches_five_starts(self, fixed, weighting):
+        config = MadConfig(weighting=weighting)
+        for seed in range(3):
+            s = ct.sample(ct.pareto(1.4, 2.0), 3000, seed=seed)
+            one = ct.fit_mad(s, ct.Family.PARETO, fixed, config)
+            assert _no_worse(one, five_start_fit_mad(s, ct.Family.PARETO, fixed, config)), seed
+
+
+class TestConverged:
+    """A one-start fit has converged when its run stopped before the
+    evaluation budget ran out."""
+
+    def test_ordinary_fit_converges(self):
+        fit = ct.fit_mad(ct.sample(ct.gpd(0.5, 1.0), 2000, seed=0), ct.Family.GPD)
+        assert len(fit.restarts) == 1
+        assert fit.evaluations < estimation._MAX_EVALS
+        assert fit.converged
+
+    def test_spent_budget_is_not_converged(self, monkeypatch):
+        s = ct.sample(ct.gpd(0.5, 1.0), 2000, seed=0)
+        need = ct.fit_mad(s, ct.Family.GPD).evaluations
+        monkeypatch.setattr(estimation, "_MAX_EVALS", need - 1)
+        fit = ct.fit_mad(s, ct.Family.GPD)
+        assert len(fit.restarts) == 1
+        assert fit.evaluations == need - 1
+        assert not fit.converged

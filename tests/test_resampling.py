@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import claimtails as ct
-from claimtails import estimation, parallel
+from claimtails import parallel
 from claimtails.resampling import BootstrapFailedError
 
 
@@ -43,17 +43,15 @@ class TestBootstrapFit:
         classical = float(np.std(s.values, ddof=1)) / np.sqrt(s.n)
         assert out.standard_errors["mu"] == pytest.approx(classical, rel=0.2)
 
-    def test_gpd_shape_se_plausible(self, monkeypatch):
-        monkeypatch.setattr(estimation, "_RESTARTS", 2)
+    def test_gpd_shape_se_plausible(self):
         s = ct.sample(ct.gpd(0.65, 600.0), 9181, seed=1)
         out = ct.bootstrap_fit(s, gpd_fit, B=60, seed=4)
         assert 0.008 <= out.standard_errors["gamma"] <= 0.03
         lo, hi = out.intervals["gamma"]
         assert lo < 0.65 < hi
 
-    def test_interval_coverage(self, monkeypatch):
+    def test_interval_coverage(self):
         # percentile intervals at 80% cover the truth in most outer draws
-        monkeypatch.setattr(estimation, "_RESTARTS", 2)
         spec = ct.gpd(0.5, 1.0)
         hits = 0
         outer = 30
