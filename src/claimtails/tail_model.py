@@ -17,6 +17,8 @@ import numpy as np
 
 from .core_dist import (
     DistributionSpec,
+    _log1mexp,
+    _log_survival,
     cdf,
     gpd,
     invert_cdf,
@@ -96,44 +98,12 @@ def lower_gpd_adjuster(gamma_adj: float, x_lower: float) -> DistributionSpec:
     return gpd(*_lower_gpd_params(gamma_adj, x_lower))
 
 
-def _upper_survival(p, s_a, s_b):
-    """Survival S_b*(p*S_a + 1-p) above x_upper, from p = p_upper and the
-    adjuster and base survivals S_a and S_b at x."""
-    return s_b * (p * s_a + (1.0 - p))
-
-
-def _lower_cdf(f_a, f_b):
-    """CDF F_b*F_a below x_lower, from the adjuster and base CDFs at x."""
-    return f_b * f_a
-
-
-def adjusted_survival(model: AdjustedModel, x) -> Union[float, np.ndarray]:
-    xv = np.asarray(x, dtype=float)
-    sb = survival(model.base, xv)
-    s = sb
-    if model.upper is not None:
-        u = model.upper
-        tail = xv >= u.x_upper
-        if np.any(tail):
-            s = np.where(tail, _upper_survival(u.p_upper, survival(u.adjuster, xv), sb), s)
-    if model.lower is not None:
-        head = xv <= model.lower.x_lower
-        if np.any(head):
-            s = np.where(head, 1.0 - _lower_cdf(cdf(model.lower.adjuster, xv), 1.0 - sb), s)
-    return s if np.ndim(x) else float(s)
-
-
-def adjusted_cdf(model: AdjustedModel, x) -> Union[float, np.ndarray]:
-    return 1.0 - adjusted_survival(model, x)
-
-
 def _tail_log_survival(p, ls_a, ls_b, ls_at):
-    """log S(x) - log S_b(x_upper), the log survival of the law conditioned on
-    exceeding x_upper, from p = p_upper, log S_a and log S_b at x, and
-    ls_at = log S_b(x_upper): the log of `_upper_survival` over S_b(x_upper),
-    log S_b - ls_at + log1p(p (S_a - 1)).
-    At p = 1 the last term is log S_a itself, which stays finite where S_a
-    underflows to 0."""
+    """log S(x) - ls_at, from p = p_upper and log S_a and log S_b at x: the
+    log of the mixture S_b (p S_a + 1 - p), log S_b + log1p(p (S_a - 1)).
+    ls_at = log S_b(x_upper) conditions the law on exceeding x_upper, and
+    ls_at = 0 leaves it unconditioned.  At p = 1 the last term is log S_a
+    itself, which stays finite where S_a underflows to 0."""
     with np.errstate(divide="ignore"):  # log1p(-1) where S_a underflows at p = 1
         log_m = np.log1p(p * np.expm1(ls_a))
     if np.any(p == 1.0):
@@ -142,10 +112,41 @@ def _tail_log_survival(p, ls_a, ls_b, ls_at):
 
 
 def _head_log_cdf(lf_a, lf_b, lf_at):
-    """log of the CDF conditioned on falling below x_lower, F(x)/F_b(x_lower),
-    from log F_a and log F_b at x, and lf_at = log F_b(x_lower): the log of
-    `_lower_cdf` over F_b(x_lower)."""
+    """log F(x) - lf_at, the log of the product F_b F_a from log F_a and
+    log F_b at x.  lf_at = log F_b(x_lower) conditions the law on falling
+    below x_lower, and lf_at = 0 leaves it unconditioned."""
     return lf_b - lf_at + lf_a
+
+
+def _composite(model: AdjustedModel, x, of_log_s, of_log_f):
+    """The composite law at x: of_log_s(log S), with `_tail_log_survival` above
+    x_upper, and along the last axis of_log_f(log F) in its place at and below
+    x_lower, with `_head_log_cdf`; each branch formula sees its points only."""
+    xv = np.asarray(x, dtype=float).reshape(-1)
+    log_s = _log_survival(model.base, xv)
+    with np.errstate(divide="ignore"):  # the log of a CDF factor of 0
+        if model.upper is not None:
+            u = model.upper
+            tail = xv >= u.x_upper
+            log_s[tail] = _tail_log_survival(
+                u.p_upper, _log_survival(u.adjuster, xv[tail]), log_s[tail], 0.0)
+        out = of_log_s(log_s)
+        if model.lower is not None:
+            head = xv <= model.lower.x_lower
+            out[..., head] = of_log_f(_head_log_cdf(
+                _log1mexp(_log_survival(model.lower.adjuster, xv[head])),
+                _log1mexp(log_s[head]), 0.0))
+    return out.reshape(out.shape[:-1] + np.shape(x)) if np.ndim(x) else float(out[0])
+
+
+def adjusted_survival(model: AdjustedModel, x) -> Union[float, np.ndarray]:
+    """exp(log S), or -expm1(log F) at and below x_lower."""
+    return _composite(model, x, np.exp, lambda log_f: 0.0 - np.expm1(log_f))
+
+
+def adjusted_cdf(model: AdjustedModel, x) -> Union[float, np.ndarray]:
+    """-expm1(log S), or exp(log F) at and below x_lower; see `cdf`."""
+    return _composite(model, x, lambda log_s: 0.0 - np.expm1(log_s), np.exp)
 
 
 def adjusted_quantile(model: AdjustedModel, p) -> Union[float, np.ndarray]:
@@ -185,7 +186,7 @@ def transition_probability_limit(model: AdjustedModel, x_probe: float) -> float:
     u = model.upper
     if x_probe < u.x_upper:
         return 0.0
-    return float(u.p_upper * (1.0 - survival(u.adjuster, x_probe)))
+    return float(u.p_upper * cdf(u.adjuster, x_probe))
 
 
 def composed_ev_index(gamma_base: float, gamma_adj: float, p_upper: float) -> float:
@@ -228,11 +229,11 @@ def validate_conditions(
     if model.upper is not None:
         u = model.upper
         grid = np.geomspace(u.x_upper * 1e-8, u.x_upper, grid_size)
-        up_dev = float(np.max(np.abs(1.0 - survival(u.adjuster, grid))))
+        up_dev = float(np.max(cdf(u.adjuster, grid)))
     if model.lower is not None:
         lo = model.lower
         grid = np.geomspace(lo.x_lower, lo.x_lower * 1e8, grid_size)
-        lo_dev = float(np.max(np.abs(1.0 - cdf(lo.adjuster, grid))))
+        lo_dev = float(np.max(survival(lo.adjuster, grid)))
     return ConditionReport(up_dev, lo_dev, tol)
 
 

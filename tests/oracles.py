@@ -9,7 +9,17 @@ from claimtails import estimation
 from claimtails.core_dist import KERNELS, OrderedSample, cdf, edf_positions, survival
 from claimtails.estimation import MadConfig
 from claimtails.gof import _longest_runs_rows
-from claimtails.tail_model import _lower_cdf, _upper_survival
+
+
+def _upper_survival(p, s_a, s_b):
+    """Survival S_b*(p*S_a + 1-p) above x_upper, from p = p_upper and the
+    adjuster and base survivals S_a and S_b at x."""
+    return s_b * (p * s_a + (1.0 - p))
+
+
+def _lower_cdf(f_a, f_b):
+    """CDF F_b*F_a below x_lower, from the adjuster and base CDFs at x."""
+    return f_b * f_a
 
 
 def quadrature_thinned_cdf(sigma: float, sigma_t: float, x: float) -> float:
@@ -28,7 +38,7 @@ def quadrature_thinned_cdf(sigma: float, sigma_t: float, x: float) -> float:
 def tail_cdf(model, x):
     """CDF of the law conditioned on exceeding x_upper, 1 - S(x)/S_b(x_upper),
     for x >= x_upper (the adjuster leaves S(x_upper) = S_b(x_upper)), in the
-    F domain that the fit steps' log-space `_tail_log_survival` replaces."""
+    F domain that the log-space `_tail_log_survival` replaces."""
     u = model.upper
     s_x = _upper_survival(u.p_upper, survival(u.adjuster, x), survival(model.base, x))
     return 1.0 - s_x / survival(model.base, u.x_upper)
@@ -36,12 +46,8 @@ def tail_cdf(model, x):
 
 def head_cdf(model, x):
     """CDF of the law conditioned on falling below x_lower, F(x)/F_b(x_lower),
-    for x <= x_lower, in the F domain that the fit steps' log-space
-    `_head_log_cdf` replaces.
-
-    Each factor is computed as 1 - S, so a tiny F rounds to 0: under a
-    GPD(1, 1) base with a GPD(-1, 1) lower adjuster at x_lower = 1, this
-    returns 0 at x = 2.5e-19, where `_head_log_cdf` gives log(1.3e-37).
+    for x <= x_lower, in the F domain that the log-space `_head_log_cdf`
+    replaces.
     """
     lo = model.lower
     return _lower_cdf(cdf(lo.adjuster, x), cdf(model.base, x)) / cdf(model.base, lo.x_lower)

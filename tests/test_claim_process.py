@@ -212,6 +212,28 @@ class TestInflation:
         with pytest.raises(ValueError):
             ct.InflationScenario(1.5, 1.05, 0, 1.0, 300.0)
 
+    @pytest.mark.parametrize("years", [math.nan, 2.5])
+    def test_years_must_be_an_integer(self, years):
+        with pytest.raises(ValueError, match=f"^years must be an integer >= 1, got {years}$"):
+            ct.InflationScenario(1.5, 1.05, years, 1.0, 300.0)
+
+    @pytest.mark.parametrize("factor,years,base_rate", [
+        (100.0, 10, 100.0),  # 1.01e20 claims
+        (1e300, 10**6, 1.0),  # factor**years overflows a float
+        (1.0, 10**5, 101.0),  # 1.01e7 claims at a flat rate
+    ])
+    def test_too_many_expected_claims_are_refused(self, factor, years, base_rate):
+        with pytest.raises(ValueError) as info:
+            ct.InflationScenario(1.5, factor, years, 1.0, base_rate)
+        message = str(info.value)
+        for name in ("inflation_factor", "years", "base_rate"):
+            assert name in message
+        assert "more than 10,000,000" in message
+
+    def test_expected_claims_below_the_cap_pass(self):
+        # 0.5 ** (k-1) sums to just under 2: 4.9e6 * 2 claims stay below 1e7
+        ct.InflationScenario(1.5, 0.5, 60, 1.0, 4.9e6)
+
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     @pytest.mark.parametrize("name", ["alpha", "inflation_factor", "threshold", "base_rate"])
     def test_non_finite_scenario(self, name, value):

@@ -600,6 +600,16 @@ class TestInputNaming:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o").exists()
 
+    def test_inflation_scenario_beyond_the_claim_cap(self, tmp_path, capsys):
+        # refused before any draw: the scenario expects ~1e20 claims
+        out = tmp_path / "o"
+        assert main(["simulate", "--mode", "inflation", "--inflation-factor", "100",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: inflation_factor 100 over years 10 from base_rate 100 expects "
+                       "about 10^20.0 claims, more than 10,000,000\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["qq", "mechanism"])
     @pytest.mark.parametrize("text,reason", [
         pytest.param("not json", "Expecting value: line 1 column 1 (char 0)", id="not-json"),

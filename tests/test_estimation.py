@@ -547,6 +547,38 @@ class TestPipeline:
         assert any("upper step skipped" in w for w in out.warnings)
 
 
+class TestModelBranches:
+    """A spec or an AdjustedModel passed as the model agrees with the
+    callable path through its CDF, which takes log F and log(1 - F)."""
+
+    @pytest.mark.parametrize("law", ["bench", "stepped"])
+    def test_matches_the_cdf_callable(self, law):
+        if law == "bench":
+            model = BENCH_LAW
+            s = ct.sample_mechanism(BENCH_LAW, 2000, 11)
+
+            def via_cdf(x):
+                return ct.adjusted_cdf(BENCH_LAW, x)
+        else:
+            model = ct.stepped_pareto(1.0, 1.42, 1.0, 11.0, 52.0)
+            s = ct.sample(model, 2000, seed=11)
+
+            def via_cdf(x):
+                return ct.cdf(model, x)
+
+        # log(1 - F) loses the digits of a small S that F rounds away: at the
+        # largest point S is ~1e-3, so it is off by ~1e-13 relative there,
+        # and the objective, a sum of 2 000 terms, by far less than 1e-9
+        for weighting in Weighting:
+            cfg = MadConfig(weighting=weighting)
+            assert ct.mad_objective(s, model, cfg) == pytest.approx(
+                ct.mad_objective(s, via_cdf, cfg), rel=1e-9, abs=0.0)
+        # the statistic is -n minus twice the unweighted value, ~1e3 times
+        # smaller than either, so its bound is absolute
+        assert ct.ad_statistic(s, model) == pytest.approx(ct.ad_statistic(s, via_cdf),
+                                                          rel=0.0, abs=1e-9)
+
+
 def _no_fork(*args, **kwargs):
     raise AssertionError("no process expected")
 

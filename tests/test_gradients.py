@@ -246,7 +246,7 @@ def test_overflowing_adjuster_gives_its_limits():
     weibull = KERNELS[ct.Family.SHIFTED_WEIBULL]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert not weibull.survival(TAIL.values, X_UPPER, 1e-6, 100.0).any()
+        assert np.all(weibull.logsf(TAIL.values, X_UPPER, 1e-6, 100.0) == -np.inf)
         _, d_sigma, d_beta = weibull.log_survival(TAIL.values, X_UPPER, 1e-6, 100.0)[1]
         # at the shift itself every derivative is 0
         at_shift = weibull.log_survival(np.array([X_UPPER]), X_UPPER, 2.0, 0.7)[1]

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 import claimtails as ct
-from claimtails.estimation import _log1mexp, _log_survival
+from claimtails.core_dist import _log1mexp, _log_survival
 from claimtails.tail_model import (
     ModelInvalidError,
     ProbeTooFarError,
@@ -55,6 +55,19 @@ class TestAdjustedSurvival:
         assert np.all(np.diff(s) <= 1e-15)
         assert np.all((s >= 0) & (s <= 1))
 
+    def test_small_head_cdf_keeps_its_digits(self):
+        # F = F_b F_a = 2.5e-19 * 2.5e-19; each factor taken as 1 - S would
+        # round to 0
+        m = ct.AdjustedModel(ct.gpd(1.0, 1.0),
+                             lower=ct.LowerAdjustment(ct.lower_gpd_adjuster(-1.0, 1.0), 1.0))
+        x = 2.5e-19
+        assert ct.adjusted_cdf(m, x) == pytest.approx(6.25e-38, rel=1e-15)
+        # conditioned on the head, over F_b(x_lower) = 1/2, in F and in log space
+        log_f = _head_log_cdf(*(_log1mexp(_log_survival(spec, v)) for spec, v in
+                                ((m.lower.adjuster, x), (m.base, x), (m.base, 1.0))))
+        for got in (head_cdf(m, x), np.exp(log_f)):
+            assert got == pytest.approx(1.25e-37, rel=1e-15)
+
     def test_exact_base_between_thresholds(self):
         m = ct.AdjustedModel(
             ct.pareto(1.0, 1.0),
@@ -94,17 +107,26 @@ def lower_models(draw):
 
 class TestConditionalLaws:
     """The oracles `tail_cdf` and `head_cdf` condition the composite law on
-    the branch the pipeline fits; they share its formula, so they agree
-    with it."""
+    the branch the pipeline fits, in the F domain; the composite law is
+    evaluated in log space, so they agree with it within a bound."""
 
     @settings(max_examples=100)
     @given(upper_models(), st.lists(st.floats(1.0, 100.0, exclude_min=True), min_size=1,
                                     max_size=20).map(np.array))
-    def test_tail_cdf_is_survival_ratio_bit_for_bit(self, m, ratio):
-        # S(x_upper) = S_b(x_upper) exactly: S_a(x_upper) = 1 and p + fl(1-p) = 1
+    def test_tail_cdf_is_survival_ratio(self, m, ratio):
+        # S(x_upper) = S_b(x_upper): S_a(x_upper) = 1.  Each survival is
+        # exp(log S), off by a few eps per unit of |log S| and of 1/m, m =
+        # p S_a + 1 - p (see below), the oracle's products by a few eps, and
+        # each 1 - ratio by eps/2
         x = m.upper.x_upper * ratio
-        expected = 1.0 - ct.adjusted_survival(m, x) / ct.adjusted_survival(m, m.upper.x_upper)
-        np.testing.assert_array_equal(tail_cdf(m, x), expected)
+        s_x, s_at = ct.adjusted_survival(m, x), ct.adjusted_survival(m, m.upper.x_upper)
+        expected = 1.0 - s_x / s_at
+        mix = m.upper.p_upper * ct.survival(m.upper.adjuster, x) + (1.0 - m.upper.p_upper)
+        eps = np.finfo(float).eps
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = (2.0 - np.log(s_x) - np.log(s_at) + 1.0 / mix) * (s_x / s_at)
+        bound = 8 * eps * np.where(s_x > 0.0, rel, 0.0) + eps
+        assert np.all(np.abs(tail_cdf(m, x) - expected) <= bound)
 
     @settings(max_examples=100)
     @given(lower_models(), st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -155,10 +177,10 @@ class TestConditionalLaws:
         f = head_cdf(m, x)
         log_f = _head_log_cdf(*logs)
         # where head_cdf is positive: each log is off by a few eps of its
-        # size, and head_cdf's factors, each 1 - S, by eps absolute
+        # size, and head_cdf's factors by at most eps absolute
         inside = f > 0.0
         parts = [ct.cdf(m.lower.adjuster, x), ct.cdf(m.base, x), ct.cdf(m.base, m.lower.x_lower)]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             scale = 1.0 + sum(np.abs(v) + 1.0 / p for v, p in zip(logs, parts))
             bound = 16 * np.finfo(float).eps * scale * f
         assert np.all(np.abs(np.exp(log_f) - f)[inside] <= bound[inside])
