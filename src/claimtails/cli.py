@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -70,23 +71,52 @@ def write_csv(path: Path, header: list, rows) -> None:
     _atomic_write(path, ("%s\n" + template) % (",".join(header), *cells))
 
 
+def _plain_column(body: str, col: int):
+    """Column `col` of the data rows `body`, parsed by `np.loadtxt`, or None
+    where it might read otherwise than `csv.reader` and `float`.
+
+    In text with no quote, no non-ASCII character and no carriage return
+    outside a CRLF line end, both readers take each line as a row of the
+    cells between its commas, skip only empty lines, strip the same
+    whitespace and parse a cell with the same C function.  `loadtxt` refuses
+    the cells only `float` takes (with underscores), so its ValueError means
+    doubt too; text without a data row, on which it warns, goes to `csv`."""
+    if (not body or body.isspace() or not body.isascii() or '"' in body
+            or "\r" in body and body.count("\r") != body.count("\r\n")):
+        return None
+    try:
+        # a list of lines, not a StringIO: its 4-byte-per-character copy of
+        # the text, once freed, would lift glibc's mmap threshold and with it
+        # the heap the process keeps
+        return np.loadtxt(body.split("\n"), delimiter=",", usecols=col, comments=None,
+                          ndmin=1)
+    except ValueError:
+        return None
+
+
 def read_loss_csv(path: str, column: str = "loss") -> OrderedSample:
     """Read one positive numeric loss column from a headered CSV.
 
     Blank lines are skipped and data rows numbered from 2, as by
-    `csv.DictReader`; a short row reads as an empty value.
+    `csv.DictReader`; a short row reads as an empty value.  Plain text is
+    parsed by `np.loadtxt` (see `_plain_column`); other text, and text with
+    a bad value, by `csv`, which names the first bad row.
     """
     try:
         fh = open(path, newline="")
     except OSError as exc:
         raise InputError(f"cannot read input file {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None or column not in header:
             raise InputError(f"column '{column}' not found in {path}")
         col = len(header) - 1 - header[::-1].index(column)  # last one wins, as in a dict
-        raw = [row[col].strip() if col < len(row) else "" for row in reader if row]
+        body = fh.read()
+    values = _plain_column(body, col)
+    if values is not None and np.all(np.isfinite(values) & (values > 0)):
+        return OrderedSample.from_values(values, label=os.path.basename(path))
+    rows = csv.reader(io.StringIO(body, newline=""))
+    raw = [row[col].strip() if col < len(row) else "" for row in rows if row]
     try:
         values = np.array(raw, dtype=float)  # parses each text as float() does
     except ValueError:

@@ -166,6 +166,25 @@ def _rank_terms(n: int, i_lo: int, i_hi: int, weighting: Weighting) -> tuple:
     return terms
 
 
+# ranks a fit step's model takes at once: 64 kB per float64 temporary of a
+# candidate, below glibc's 128 KiB mmap threshold, so the temporaries of a
+# large subsample reuse freed heap pages instead of faulting in fresh ones
+_BLOCK_RANKS = 2**13
+
+
+class _StepModel:
+    """A fit step's model of candidate rows, which `mad_objective` calls once
+    per block of at most `_BLOCK_RANKS` fitted ranks: `fn(x, at)` gives the
+    (log F, log S, [dlog S, ...]) triple at x, the fitted values in the slice
+    `at` of the fitted ranks.  Called on x alone, it takes x to be all of them."""
+
+    def __init__(self, fn: Callable):
+        self.fn = fn
+
+    def __call__(self, x, at=slice(None)):
+        return self.fn(x, at)
+
+
 def mad_objective(sample: OrderedSample, model, config: MadConfig) -> float | np.ndarray | tuple:
     """Fit objective over the configured rank range.
 
@@ -173,7 +192,7 @@ def mad_objective(sample: OrderedSample, model, config: MadConfig) -> float | np
     the weighted modes normalize each summand at the order-statistic
     expectation F(x_i) = i/(n+1) and are minimized, with value = rank count
     at a perfect EDF match.  The model is evaluated on the in-range order
-    statistics only, so a callable model receives exactly those.
+    statistics only, so a callable model receives exactly those, in one call.
 
     The summands a log F + b log S, S = 1 - F, are taken in log space (see
     `_log_values`), so an F that rounds to 1 keeps a finite log S.  Where
@@ -188,31 +207,52 @@ def mad_objective(sample: OrderedSample, model, config: MadConfig) -> float | np
     With dlog, (values, gradients) comes back: the gradient of a
     candidate's value, sum w (b - a S/F) dlog S, is a row of the (k, d)
     array, again bit for bit the one it gets alone, and 0 in an inf row.
+
+    The summands and gradient terms are formed in blocks of ranks, which a
+    fit step's model (`_StepModel`) is evaluated on one at a time, and each
+    whole array of them is summed once, so no bit depends on the block size.
     """
     n = sample.n
     i_lo, i_hi = config.resolve_ranks(n)
     a, b, w = _rank_terms(n, i_lo, i_hi, config.weighting)
+    x = sample.values[i_lo - 1 : i_hi]
+    terms = grads = None
     # a log that is infinite, or NaN, leaves its row's value non-finite, and
     # the rows are told apart after the sums, without a RuntimeWarning
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_f, log_s, dlog = _log_values(sample.values[i_lo - 1 : i_hi], model)
-        s = a * log_f + b * log_s
-        value = s.sum(axis=-1) / n if w is None else (w * s).sum(axis=-1)
-        if log_f.ndim == 1:
+        if not isinstance(model, _StepModel):
+            # any other model sees all the fitted values in one call
+            log_f, log_s, dlog = _log_values(x, model)
+            model = _StepModel(lambda _, at: (log_f[..., at], log_s[..., at],
+                                              None if dlog is None else [d[..., at] for d in dlog]))
+        for lo in range(0, x.size, _BLOCK_RANKS):
+            at = slice(lo, lo + _BLOCK_RANKS)
+            block_f, block_s, block_dlog = model(x[at], at)
+            s = a[at] * block_f + b[at] * block_s
+            if terms is None:
+                terms = np.empty(s.shape[:-1] + x.shape)
+                if s.ndim > 1 and block_dlog is not None:
+                    grads = np.empty((len(block_dlog), *terms.shape))
+            terms[..., at] = s if w is None else w[at] * s
+            if grads is not None:
+                # by a parameter far outside the fitted range (a Pareto scale
+                # of 1e-309, say) the gradient can overflow, and an infinite
+                # or NaN gradient is left for the caller to refuse
+                r = b[at] - a[at] * np.exp(block_s - block_f)
+                if w is not None:
+                    r = w[at] * r
+                for g, d in zip(grads, block_dlog):
+                    g[..., at] = r * d
+        value = terms.sum(axis=-1) / n if w is None else terms.sum(axis=-1)
+        if terms.ndim == 1:
             if not math.isfinite(value):
-                raise LogDomainError(int(np.flatnonzero(~np.isfinite(s))[0]) + i_lo)
+                raise LogDomainError(int(np.flatnonzero(~np.isfinite(terms))[0]) + i_lo)
             return float(value)
         bad = ~np.isfinite(value)
         value[bad] = math.inf
-        if dlog is None:
+        if grads is None:
             return value
-        # by a parameter far outside the fitted range (a Pareto scale of
-        # 1e-309, say) the gradient can overflow, and an infinite or NaN
-        # gradient is left for the caller to refuse
-        r = b - a * np.exp(log_s - log_f)
-        if w is not None:
-            r = w * r
-        grad = np.array([(r * d).sum(axis=-1) for d in dlog]).T
+        grad = grads.sum(axis=-1).T
     grad[bad] = 0.0
     return value, (grad / n if w is None else grad)
 
@@ -422,8 +462,8 @@ def _batch_objective(
     takes, and raises ValueError outside the model's domain; such a
     candidate, and one with a fitted observation outside its support (an
     infinite log F or log S), gets (`_PENALTY`, None).  `model_of(*columns)`
-    takes those parameters as (k, 1) columns of k candidates and returns the
-    model callable, with a (log F, log S, [dlog S, ...]) result: (k, m)
+    takes those parameters as (k, 1) columns of k candidates and returns
+    their `_StepModel`, with a (log F, log S, [dlog S, ...]) result: (k, m)
     arrays, the derivatives by the d free parameters.  The others go to
     `mad_objective` in batches of at most `_BATCH_ELEMENTS` elements (one
     candidate where the fitted ranks alone are more).
@@ -466,14 +506,14 @@ def _family_candidates(family: Family, fixed: dict, free: Sequence[str]) -> tupl
         check_params(family, params)
         return params
 
-    def model_of(*params) -> Callable:
+    def model_of(*params) -> _StepModel:
         params = [held.get(i, p) for i, p in enumerate(params)]
 
-        def model(x):
+        def model(x, _):  # a family's kernel needs no per-point inputs
             log_s, dlog = kernel.log_survival(x, *params)
             return _log1mexp(log_s), log_s, [dlog[i] for i in at]
 
-        return model
+        return _StepModel(model)
 
     return params_of, model_of
 
@@ -493,21 +533,21 @@ def _tail_candidates(x_upper: float, ls_tail: np.ndarray, ls_at: float) -> tuple
         check_params(Family.SHIFTED_WEIBULL, (shift, sigma, beta))
         return p, sigma, beta
 
-    def model_of(p, sigma, beta) -> Callable:
-        def model(x):
+    def model_of(p, sigma, beta) -> _StepModel:
+        def model(x, at):
             # log S = log S_b - log S_b(x_upper) + log m, m = p S_a + 1 - p:
             # by p its derivative is (S_a - 1)/m, by an adjuster parameter
             # (p S_a/m) dlog S_a, whose limit is 0 where S_a underflows to 0
             # and dlog S_a may be infinite
             log_a, (_, d_sigma, d_beta) = kernel.log_survival(x, shift, sigma, beta)
-            log_s = _tail_log_survival(p, log_a, ls_tail, ls_at)
-            minus_log_m = ls_rel - log_s
+            log_s = _tail_log_survival(p, log_a, ls_tail[at], ls_at)
+            minus_log_m = ls_rel[at] - log_s
             w = p * np.exp(log_a + minus_log_m)
             return _log1mexp(log_s), log_s, [
                 np.expm1(log_a) * np.exp(minus_log_m),
                 *(np.where(w == 0.0, 0.0, w * d) for d in (d_beta, d_sigma))]
 
-        return model
+        return _StepModel(model)
 
     return params_of, model_of
 
@@ -583,19 +623,19 @@ def _head_candidates(x_lower: float, lf_head: np.ndarray, lf_at: float) -> tuple
         check_params(Family.GPD, params)
         return params
 
-    def model_of(gamma, sigma, loc) -> Callable:
-        def model(x):
+    def model_of(gamma, sigma, loc) -> _StepModel:
+        def model(x, at):
             # log F = log F_b - log F_b(x_lower) + log F_a, so dlog S =
             # (F/S)(S_a/F_a) dlog S_a, and the adjuster's sigma = -gamma
             # x_lower makes d/dgamma of log S_a d_gamma - x_lower d_sigma
             log_a, (d_gamma, d_sigma, _) = kernel.log_survival(x, gamma, sigma, loc)
             log_fa = _log1mexp(log_a)
-            log_f = _head_log_cdf(log_fa, lf_head, lf_at)
+            log_f = _head_log_cdf(log_fa, lf_head[at], lf_at)
             log_s = _log1mexp(log_f)
             ratio = np.exp(log_f - log_s + log_a - log_fa)
             return log_f, log_s, [ratio * (d_gamma - x_lower * d_sigma)]
 
-        return model
+        return _StepModel(model)
 
     return params_of, model_of
 

@@ -13,7 +13,6 @@ import numpy as np
 from .claim_process import substream
 from .core_dist import OrderedSample
 from .estimation import P_UPPER_TOL
-from .parallel import fork_map
 
 
 class BootstrapFailedError(RuntimeError):
@@ -78,6 +77,9 @@ def bootstrap_fit(
     """
     if B < 1:
         raise ValueError("B must be >= 1")
+    # imported here: its process pool imports cost every other command ~15 ms
+    from .parallel import fork_map
+
     results = fork_map(partial(_replicate, sample, fit_closure, seed), B, workers)
     params_per_rep = [theta for theta in results if theta is not None]
     failed = B - len(params_per_rep)

@@ -240,3 +240,79 @@ def test_batches_hold_at_most_the_element_cap(n, rows, monkeypatch):
     # log F and log S, then the derivatives of log S by gamma and sigma
     assert shapes == [[(k, n)] * 4 for k in sizes]
 
+
+
+# a fit step's model is evaluated in blocks of ranks, and each whole array of
+# summands and gradient terms is summed once, so no bit depends on the block
+BLOCKS = [5, 64, 10**9]
+
+
+def step_results(weighting):
+    """Each step's (values, gradients) for a batch of candidates, a penalised
+    row among them, over the whole subsample and over a rank range."""
+    family, fixed, free, sample, _ = FAMILIES["gpd"]
+    steps = [
+        # GPD(-0.5, 1) ends at 2, below the sample's largest points
+        (lambda config: _family_candidates(family, fixed, free), sample,
+         [(0.3, 2.0), (-0.5, 1.0), (1.0, 0.5)], (7, 75)),
+        (lambda config: tail_step(config)[0], TAIL,
+         [(0.5, 2.0, 15.0), (1.0, 8.0, 1e-3), (0.0, 0.5, 60.0)], (3, 20)),
+        (lambda config: head_step(config)[0], HEAD, [(-0.02,), (-0.4,), (-3.0,)], (5, 100)),
+    ]
+    results = []
+    for candidates, sample, thetas, rank_range in steps:
+        for config in (MadConfig(weighting), MadConfig(weighting, rank_range)):
+            params_of, model_of = candidates(config)
+            columns = np.array([params_of(*theta) for theta in thetas]).T[:, :, None]
+            results.append(mad_objective(sample, model_of(*columns), config))
+    return results
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("weighting", list(Weighting))
+def test_block_size_changes_no_bit(block, weighting, monkeypatch):
+    whole = step_results(weighting)
+    assert any(np.isinf(values).any() for values, _ in whole)  # a penalised row is among them
+    monkeypatch.setattr(estimation, "_BLOCK_RANKS", block)
+    for (values, grads), (want_values, want_grads) in zip(step_results(weighting), whole):
+        assert values.tobytes() == want_values.tobytes()
+        assert grads.tobytes() == want_grads.tobytes()
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_block_size_keeps_the_degenerate_rank(block, monkeypatch):
+    # a GPD that ends between the sample's 75th and 76th points has S = 0
+    # from rank 76 on, in a late block of 5 and the second of 64
+    sample = FAMILIES["gpd"][3]
+    candidate = ct.gpd(-0.1, 0.05 * float(sample.values[74] + sample.values[75]))
+    ranks = set()
+    for weighting in Weighting:
+        for config in (MadConfig(weighting), MadConfig(weighting, (3, 79))):
+            with pytest.raises(estimation.LogDomainError) as want:
+                mad_objective(sample, candidate, config)
+            monkeypatch.setattr(estimation, "_BLOCK_RANKS", block)
+            with pytest.raises(estimation.LogDomainError) as got:
+                mad_objective(sample, candidate, config)
+            monkeypatch.undo()
+            assert got.value.rank == want.value.rank
+            ranks.add(got.value.rank)
+    assert ranks == {76}
+
+
+def test_a_head_beyond_one_block_is_fitted_as_in_one_block(monkeypatch):
+    # the benchmark's composite law at n = 50 000: the lower step's head has
+    # about 8 600 points, more than one block of ranks
+    truth = ct.AdjustedModel(
+        ct.gpd(0.6, 1.0),
+        ct.UpperAdjustment(ct.shifted_weibull(20.0, 30.0, 2.0), 0.5, 20.0),
+        ct.LowerAdjustment(ct.lower_gpd_adjuster(-0.5, 0.2), 0.2),
+    )
+    sample = ct.sample_mechanism(truth, 50_000, np.random.default_rng(np.random.SeedSequence([9001, 0])))
+    plan = estimation.PipelinePlan(ct.Family.GPD, {"loc": 0.0}, x_lower=0.2, x_upper=20.0)
+    assert int(np.sum(sample.values < 0.2)) > estimation._BLOCK_RANKS
+    blocked = estimation.fit_pipeline(sample, plan)
+    monkeypatch.setattr(estimation, "_BLOCK_RANKS", 10**9)
+    whole = estimation.fit_pipeline(sample, plan)
+    for got, want in ((blocked.base_fit, whole.base_fit), (blocked.upper_fit, whole.upper_fit),
+                      (blocked.lower_fit, whole.lower_fit)):
+        assert got.as_dict() == want.as_dict() and got.restarts == want.restarts

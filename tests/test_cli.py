@@ -8,11 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import claimtails as ct
 from claimtails import estimation, gof, parallel
 from claimtails.cli import (
     InputError,
+    _plain_column,
     build_parser,
     main,
     read_config_file,
@@ -90,8 +93,8 @@ def reference_read_loss_column(path, column="loss"):
     return sorted(values) if values else f"no loss values found in {path}"
 
 
-class TestCsvAgainstDictReader:
-    @pytest.mark.parametrize("text", [
+# CSV texts that `csv.DictReader` and a naive `np.loadtxt` may read apart
+CSV_QUIRKS = [
         pytest.param("id,loss\n1, 2.5 \n\n2,1e-3\n\n", id="blank-lines-and-spaces"),
         pytest.param("id,loss,note\n1,2.0,a,extra\n2,3.5\n", id="long-and-full-rows"),
         pytest.param("id,loss\n1,2.0\n\n2\n", id="short-row-after-blank"),
@@ -105,7 +108,61 @@ class TestCsvAgainstDictReader:
         pytest.param("loss\n\n\n", id="only-blank-rows"),
         pytest.param("\nloss\n1.0\n", id="blank-header"),
         pytest.param("", id="empty-file"),
-    ])
+        pytest.param("loss\n1 5\n2.0\n", id="space-inside-a-value"),
+        pytest.param("loss\n1.0\n   \n2.0\n", id="whitespace-only-line"),
+        pytest.param("id,loss\n1,2.0\n \t\n", id="whitespace-only-line-two-columns"),
+        pytest.param("loss\n", id="header-only"),
+        pytest.param("loss", id="header-without-line-end"),
+        pytest.param('id,loss\n1,"2.5"\n2," 1e-3 "\n', id="quoted-values"),
+        pytest.param('"id","loss"\n1,3.5\n', id="quoted-header"),
+        pytest.param('loss\n"1,5"\n', id="quoted-comma"),
+        pytest.param('loss\n"1.0\n"\n2.0\n', id="quoted-line-end"),
+        pytest.param('note,loss\n"a,7,c",2.0\n', id="quoted-comma-in-another-column"),
+        pytest.param("id,loss\r\n1,2.5\r\n\r\n2,1e-3\r\n", id="crlf"),
+        pytest.param("loss\r1.0\r2.0\r", id="cr-line-ends"),
+        pytest.param("loss\n1.0\r2.0\n", id="lone-cr"),
+        pytest.param("loss\n#1.0\n2.0\n", id="hash-row"),
+        pytest.param("loss\n1.0 # note\n", id="hash-after-value"),
+        pytest.param("loss,note\n1.0,#x\n2.0,ok\n", id="hash-in-other-column"),
+        pytest.param("loss\n0x1p3\n", id="hex-float"),
+        pytest.param("loss\n1e400\n", id="overflow"),
+        pytest.param("loss\n1e-320\n4.9e-324\n", id="subnormal"),
+        pytest.param("loss\n+1.5\n.5\n5.\n1E+2\n", id="float-forms"),
+        pytest.param("loss\n1d5\n", id="fortran-exponent"),
+        pytest.param("loss\n-0\n", id="negative-zero"),
+        pytest.param("loss\n\u0661\u0662\n\u0663.\u0665\n", id="arabic-indic-digits"),
+        pytest.param("loss\n1.5\n\xa02.5\n", id="no-break-space"),
+        pytest.param("loss\n\t2.5\x0b\n1e-3\x1c\n", id="ascii-whitespace"),
+        pytest.param("loss\n1.0\n,\n", id="empty-cells"),
+        pytest.param("loss,id\n1.0,7,extra\n2.0\n", id="long-and-one-cell-rows"),
+        pytest.param("loss\n1.0\n2.5", id="no-final-line-end"),
+        pytest.param("loss\n1.0\n\n\n", id="trailing-blank-lines"),
+]
+
+
+def assert_reads_as_reference(path):
+    """`read_loss_csv` gives the reference's values or error message, and
+    the `np.loadtxt` fast path either declines the data rows or reads the
+    reference's values (or a value the reference refuses)."""
+    expected = reference_read_loss_column(str(path))
+    with open(path, newline="") as fh:
+        text = fh.read()
+    if text.startswith("loss\n"):
+        fast = _plain_column(text[len("loss\n"):], 0)
+        if fast is not None and isinstance(expected, str):
+            assert not np.all(np.isfinite(fast) & (fast > 0)), (text, fast)
+        elif fast is not None:
+            assert np.sort(fast).tobytes() == np.array(expected).tobytes(), (text, fast)
+    if isinstance(expected, str):
+        with pytest.raises(InputError) as ei:
+            read_loss_csv(str(path))
+        assert str(ei.value) == expected
+    else:
+        assert read_loss_csv(str(path)).values.tobytes() == np.array(expected).tobytes()
+
+
+class TestCsvAgainstDictReader:
+    @pytest.mark.parametrize("text", CSV_QUIRKS)
     def test_same_values_and_errors(self, text, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text(text)
@@ -116,6 +173,42 @@ class TestCsvAgainstDictReader:
             assert str(ei.value) == expected
         else:
             np.testing.assert_array_equal(read_loss_csv(str(path)).values, expected)
+
+    @pytest.mark.parametrize("text", CSV_QUIRKS)
+    def test_fast_path_reads_as_csv_or_declines(self, text, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        assert_reads_as_reference(path)
+
+    def test_random_text_reads_as_csv(self, tmp_path):
+        path = tmp_path / "x.csv"
+
+        # cells: numbers as the CLI writes them, or short runs of quirky text
+        positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+        cell = st.one_of(positive.map(repr), positive.map("%.17g".__mod__),
+                         st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                         st.text(alphabet="0123456789.eE+-_ \t\x0b\x1c\"#xinfa\u0661\xa0",
+                                 max_size=6))
+        end = st.sampled_from(["\n", "\n", "\r\n", "\r", ",", "\n\n", " \n", ""])
+
+        @settings(max_examples=400, deadline=None)
+        @given(st.lists(st.tuples(cell, end), max_size=6))
+        def check(cells):
+            path.write_text("loss\n" + "".join(c + e for c, e in cells))
+            assert_reads_as_reference(path)
+
+        check()
+
+    def test_written_values_take_the_fast_path(self, tmp_path):
+        # the CLI's own %.17g cells and repr, from 1e-300 to 1e300
+        rng = np.random.default_rng(8)
+        values = np.sort(10.0 ** rng.uniform(-300, 300, 4000))
+        write_csv(tmp_path / "x.csv", ["id", "loss"], [(j, v) for j, v in enumerate(values)])
+        body = (tmp_path / "x.csv").read_text().split("\n", 1)[1]
+        assert _plain_column(body, 1).tobytes() == values.tobytes()
+        assert read_loss_csv(str(tmp_path / "x.csv")).values.tobytes() == values.tobytes()
+        (tmp_path / "r.csv").write_text("loss\n" + "\n".join(map(repr, values.tolist())))
+        assert _plain_column((tmp_path / "r.csv").read_text()[5:], 0).tobytes() == values.tobytes()
 
 
 class TestConfig:
@@ -665,6 +758,18 @@ def test_import_leaves_scipy_stats_and_integrate_unloaded():
     # fits' optimizer is claimtails' own, so no scipy module loads at all
     code = ("import sys, claimtails; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    env = {**os.environ, "PYTHONPATH": str(Path(ct.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # `fork_map`, and with it multiprocessing and concurrent.futures, loads
+    # when a bootstrap starts; fit, tail-test, qq and simulate never need it
+    code = ("import sys, claimtails.cli; "
+            "print([m for m in ('concurrent.futures', 'multiprocessing', 'claimtails.parallel') "
+            "if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(Path(ct.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
