@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -111,12 +110,14 @@ def read_loss_csv(path: str, column: str = "loss") -> OrderedSample:
         if header is None or column not in header:
             raise InputError(f"column '{column}' not found in {path}")
         col = len(header) - 1 - header[::-1].index(column)  # last one wins, as in a dict
-        body = fh.read()
-    values = _plain_column(body, col)
-    if values is not None and np.all(np.isfinite(values) & (values > 0)):
-        return OrderedSample.from_values(values, label=os.path.basename(path))
-    rows = csv.reader(io.StringIO(body, newline=""))
-    raw = [row[col].strip() if col < len(row) else "" for row in rows if row]
+        values = _plain_column(fh.read(), col)
+        if values is not None and np.all(np.isfinite(values) & (values > 0)):
+            return OrderedSample.from_values(values, label=os.path.basename(path))
+        # the csv reader streams the rows from the file, past the header record
+        fh.seek(0)
+        rows = csv.reader(fh)
+        next(rows)
+        raw = [row[col].strip() if col < len(row) else "" for row in rows if row]
     try:
         values = np.array(raw, dtype=float)  # parses each text as float() does
     except ValueError:

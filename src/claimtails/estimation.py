@@ -116,19 +116,16 @@ class FitResult:
 
 
 def _log_values(values: np.ndarray, model) -> tuple:
-    """(log F, log S, dlog) of `model` at `values`.  A spec or an AdjustedModel
-    gives log S, and log F from it, or the reverse at and below x_lower (see
-    `_composite`); a callable returns F, whose logs of F and 1 - F are taken,
-    or the triple itself.  dlog is None unless a callable returns it."""
+    """(log F, log S) of a law `model` at `values`.  A spec or an
+    AdjustedModel gives log S, and log F from it, or the reverse at and below
+    x_lower (see `_composite`); a callable returns F, whose logs of F and
+    1 - F are taken."""
     if isinstance(model, (DistributionSpec, AdjustedModel)):
         model = model if isinstance(model, AdjustedModel) else AdjustedModel(model)
-        return (*_composite(model, values, lambda v: np.array([_log1mexp(v), v]),
-                            lambda v: [v, _log1mexp(v)]), None)
-    f = model(values)
-    if isinstance(f, tuple):
-        return f
-    f = np.asarray(f)
-    return np.log(f), np.log1p(-f), None
+        return tuple(_composite(model, values, lambda v: np.array([_log1mexp(v), v]),
+                                lambda v: [v, _log1mexp(v)]))
+    f = np.asarray(model(values))
+    return np.log(f), np.log1p(-f)
 
 
 def ad_statistic(sample: OrderedSample, model) -> float:
@@ -174,9 +171,12 @@ _BLOCK_RANKS = 2**13
 
 class _StepModel:
     """A fit step's model of candidate rows, which `mad_objective` calls once
-    per block of at most `_BLOCK_RANKS` fitted ranks: `fn(x, at)` gives the
-    (log F, log S, [dlog S, ...]) triple at x, the fitted values in the slice
-    `at` of the fitted ranks.  Called on x alone, it takes x to be all of them."""
+    per block of at most `_BLOCK_RANKS` fitted ranks: `fn(x, at)` gives
+    (log F, log S, dlog) at x, the fitted values in the slice `at` of the
+    fitted ranks.  log F and log S are (..., m) arrays, one candidate per row,
+    and dlog is None or the list [dlog S/dθ1, ..., dlog S/dθd] of their
+    partial derivatives by d parameters.  Called on x alone, it takes x to
+    be all of them."""
 
     def __init__(self, fn: Callable):
         self.fn = fn
@@ -191,26 +191,23 @@ def mad_objective(sample: OrderedSample, model, config: MadConfig) -> float | np
     Unweighted mode is the Bernoulli mixed likelihood (to be maximized);
     the weighted modes normalize each summand at the order-statistic
     expectation F(x_i) = i/(n+1) and are minimized, with value = rank count
-    at a perfect EDF match.  The model is evaluated on the in-range order
-    statistics only, so a callable model receives exactly those, in one call.
+    at a perfect EDF match.  The summands a log F + b log S, S = 1 - F, are
+    taken in log space, so an F that rounds to 1 keeps a finite log S.
 
-    The summands a log F + b log S, S = 1 - F, are taken in log space (see
-    `_log_values`), so an F that rounds to 1 keeps a finite log S.  Where
-    log F or log S is infinite, LogDomainError names the rank.
-
-    A callable model may also return a triple (log F, log S, dlog) of (k, m)
-    arrays, one candidate per row, with dlog None or the list
-    [dlog S/dθ1, ..., dlog S/dθd] of their (k, m) partial derivatives by d
-    parameters.  The value is then an array of the k candidates' values,
-    each bit for bit the one a candidate gets alone, with inf in each row
-    where a log is infinite (where one candidate raises LogDomainError).
-    With dlog, (values, gradients) comes back: the gradient of a
-    candidate's value, sum w (b - a S/F) dlog S, is a row of the (k, d)
-    array, again bit for bit the one it gets alone, and 0 in an inf row.
+    The model is one of two kinds.  A law (a spec, an AdjustedModel, or a
+    callable that returns F; see `_log_values`) is evaluated once, on the
+    in-range order statistics only, and its value is a float; where log F or
+    log S is infinite, LogDomainError names the rank.  A `_StepModel` of
+    candidate rows gives an array of their values, each bit for bit the one
+    a candidate gets alone, with inf in each row where a log is infinite
+    (where one candidate raises LogDomainError).  With dlog,
+    (values, gradients) comes back: the gradient of a candidate's value,
+    sum w (b - a S/F) dlog S, is a row of the (k, d) array, again bit for
+    bit the one it gets alone, and 0 in an inf row.
 
     The summands and gradient terms are formed in blocks of ranks, which a
-    fit step's model (`_StepModel`) is evaluated on one at a time, and each
-    whole array of them is summed once, so no bit depends on the block size.
+    `_StepModel` is evaluated on one at a time, and each whole array of them
+    is summed once, so no bit depends on the block size.
     """
     n = sample.n
     i_lo, i_hi = config.resolve_ranks(n)
@@ -221,17 +218,16 @@ def mad_objective(sample: OrderedSample, model, config: MadConfig) -> float | np
     # the rows are told apart after the sums, without a RuntimeWarning
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if not isinstance(model, _StepModel):
-            # any other model sees all the fitted values in one call
-            log_f, log_s, dlog = _log_values(x, model)
-            model = _StepModel(lambda _, at: (log_f[..., at], log_s[..., at],
-                                              None if dlog is None else [d[..., at] for d in dlog]))
+            # a law sees all the fitted values in one call
+            log_f, log_s = _log_values(x, model)
+            model = _StepModel(lambda _, at: (log_f[at], log_s[at], None))
         for lo in range(0, x.size, _BLOCK_RANKS):
             at = slice(lo, lo + _BLOCK_RANKS)
             block_f, block_s, block_dlog = model(x[at], at)
             s = a[at] * block_f + b[at] * block_s
             if terms is None:
                 terms = np.empty(s.shape[:-1] + x.shape)
-                if s.ndim > 1 and block_dlog is not None:
+                if block_dlog is not None:
                     grads = np.empty((len(block_dlog), *terms.shape))
             terms[..., at] = s if w is None else w[at] * s
             if grads is not None:
@@ -286,10 +282,6 @@ def _transform(name: str):
 
 
 _PENALTY = 1e12
-
-# most elements (candidates x fitted ranks) one batched objective call takes:
-# beyond a few hundred kB per temporary, a wider batch costs more than it saves
-_BATCH_ELEMENTS = 2**15
 
 
 def _bfgs_steps(x0: list, lb: list, ub: list, xtol: float, maxfev: int) -> Generator:
@@ -463,14 +455,10 @@ def _batch_objective(
     candidate, and one with a fitted observation outside its support (an
     infinite log F or log S), gets (`_PENALTY`, None).  `model_of(*columns)`
     takes those parameters as (k, 1) columns of k candidates and returns
-    their `_StepModel`, with a (log F, log S, [dlog S, ...]) result: (k, m)
-    arrays, the derivatives by the d free parameters.  The others go to
-    `mad_objective` in batches of at most `_BATCH_ELEMENTS` elements (one
-    candidate where the fitted ranks alone are more).
+    their `_StepModel`, whose dlog holds the derivatives by the d free
+    parameters.  The others go to `mad_objective` in one call.
     """
     direction = _objective_direction(config.weighting)
-    i_lo, i_hi = config.resolve_ranks(sample.n)
-    per_call = max(1, _BATCH_ELEMENTS // (i_hi - i_lo + 1))
 
     def objective(candidates: list) -> list:
         results = [(_PENALTY, None)] * len(candidates)
@@ -481,10 +469,9 @@ def _batch_objective(
             except (ValueError, ArithmeticError):
                 continue
             at.append(j)
-        for lo in range(0, len(rows), per_call):
-            columns = np.array(rows[lo : lo + per_call]).T[:, :, None]
-            values, grads = mad_objective(sample, model_of(*columns), config)
-            for j, v, g in zip(at[lo : lo + per_call], values.tolist(), grads.tolist()):
+        if rows:
+            values, grads = mad_objective(sample, model_of(*np.array(rows).T[:, :, None]), config)
+            for j, v, g in zip(at, values.tolist(), grads.tolist()):
                 if v != math.inf:
                     results[j] = (direction * v, [direction * d for d in g])
         return results
@@ -583,23 +570,19 @@ def _tail_scan(x_upper: float, values: np.ndarray, ls_tail: np.ndarray, ls_at: f
     ls_points = ls_tail[keep]
     excess = points.values - x_upper
     sigmas = np.append(np.sqrt(excess[1:] * excess[:-1]), 2.0 * excess[-1])
-    beta = np.repeat(_SCAN_BETA, sigmas.size)[:, None]
-    sigma = np.tile(sigmas, len(_SCAN_BETA))[:, None]
     p = np.array(_SCAN_P)[:, None, None]
-    per_call = max(1, _BATCH_ELEMENTS // (p.size * points.n))
-    blocks = []
-    for lo in range(0, beta.shape[0], per_call):
-        b, sg = beta[lo : lo + per_call], sigma[lo : lo + per_call]
 
-        def model(x):
-            log_a = kernel.logsf(x, x_upper, sg, b)
-            log_s = _tail_log_survival(p, log_a, ls_points, ls_at).reshape(-1, x.size)
+    def model_of(beta: float) -> _StepModel:
+        # (p, sigma) rows of one beta, so the kernel's power takes a float exponent
+        def model(x, at):
+            log_a = kernel.logsf(x, x_upper, sigmas[:, None], beta)
+            log_s = _tail_log_survival(p, log_a, ls_points[at], ls_at)
             return _log1mexp(log_s), log_s, None
 
-        blocks.append(mad_objective(points, model, config).reshape(p.size, -1))
-    v = np.concatenate(blocks, axis=1)
+        return _StepModel(model)
+
+    v = np.stack([mad_objective(points, model_of(beta), config) for beta in _SCAN_BETA], axis=1)
     grid = np.where(np.isfinite(v), _objective_direction(config.weighting) * v, np.inf)
-    grid = grid.reshape(p.size, len(_SCAN_BETA), sigmas.size)
     padded = np.pad(grid, 1, constant_values=np.inf)
     lowest = np.isfinite(grid)
     for shift in itertools.product((0, 1, 2), repeat=3):

@@ -103,19 +103,21 @@ def _tail_log_survival(p, ls_a, ls_b, ls_at):
     log of the mixture S_b (p S_a + 1 - p), log S_b + log1p(p (S_a - 1)).
     ls_at = log S_b(x_upper) conditions the law on exceeding x_upper, and
     ls_at = 0 leaves it unconditioned.  At p = 1 the last term is log S_a
-    itself, which stays finite where S_a underflows to 0."""
+    itself, which stays finite where S_a underflows to 0.  log S_b - ls_at is
+    capped at 0, which a point just past x_upper can exceed by rounding."""
     with np.errstate(divide="ignore"):  # log1p(-1) where S_a underflows at p = 1
         log_m = np.log1p(p * np.expm1(ls_a))
     if np.any(p == 1.0):
         log_m = np.where(p == 1.0, ls_a, log_m)
-    return ls_b - ls_at + log_m
+    return np.minimum(ls_b - ls_at, 0.0) + log_m
 
 
 def _head_log_cdf(lf_a, lf_b, lf_at):
     """log F(x) - lf_at, the log of the product F_b F_a from log F_a and
     log F_b at x.  lf_at = log F_b(x_lower) conditions the law on falling
-    below x_lower, and lf_at = 0 leaves it unconditioned."""
-    return lf_b - lf_at + lf_a
+    below x_lower, and lf_at = 0 leaves it unconditioned.  log F_b - lf_at
+    is capped at 0, which a point just below x_lower can exceed by rounding."""
+    return np.minimum(lf_b - lf_at, 0.0) + lf_a
 
 
 def _composite(model: AdjustedModel, x, of_log_s, of_log_f):

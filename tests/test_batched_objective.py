@@ -17,7 +17,6 @@ from claimtails import estimation
 from claimtails.core_dist import _power, spec_from_dict
 from claimtails.estimation import (
     _PENALTY,
-    _BATCH_ELEMENTS,
     MadConfig,
     Weighting,
     _batch_objective,
@@ -221,25 +220,31 @@ def test_power_rows_match_scalar_exponents(exponent):
     assert _power(base[0], column).tobytes() == _power(np.tile(base[0], (4, 1)), column).tobytes()
 
 
-@pytest.mark.parametrize("n,rows", [(5000, 6), (40000, 1)])
-def test_batches_hold_at_most_the_element_cap(n, rows, monkeypatch):
-    sample = ct.sample(ct.gpd(0.3, 2.0), n, seed=6)
-    shapes = []
+def test_a_round_is_one_call(monkeypatch):
+    # seven upper-step candidates, a whole round, on a tail of over 5 000
+    # points: one objective call, each row the candidate's value alone
+    values = ct.sample(BASE, 20_000, seed=7).values
+    tail = ct.OrderedSample.from_values(values[values > 2.0], label="upper tail")
+    assert tail.n >= 5000
+    candidates = _tail_candidates(2.0, _log_survival(BASE, tail.values), _log_survival(BASE, 2.0))
+    thetas = [[0.5, 2.0, 3.0], [0.1, 0.5, 1.0], [0.9, 1.0, 10.0], [1.0, 2.0, 50.0],
+              [0.0, 2.0, 3.0], [0.3, 64.0, 2.0], [0.7, 1.7, 20.0]]
+    calls = []
 
-    def recording(sample, model, config):
-        log_f, log_s, dlog = model(sample.values)
-        shapes.append([np.shape(a) for a in (log_f, log_s, *dlog)])
-        return mad_objective(sample, model, config)
+    def counting(*args):
+        calls.append(args)
+        return mad_objective(*args)
 
-    monkeypatch.setattr(estimation, "mad_objective", recording)
-    family, fixed, free = ct.Family.GPD, {"loc": 0.0}, ["gamma", "sigma"]
-    thetas = [[0.3 + 0.01 * j, 2.0] for j in range(13)]
-    _batch_objective(sample, *_family_candidates(family, fixed, free), MadConfig())(thetas)
-    assert rows == max(1, _BATCH_ELEMENTS // n)
-    sizes = [rows] * (13 // rows) + ([13 % rows] if 13 % rows else [])
-    # log F and log S, then the derivatives of log S by gamma and sigma
-    assert shapes == [[(k, n)] * 4 for k in sizes]
-
+    monkeypatch.setattr(estimation, "mad_objective", counting)
+    for weighting in Weighting:
+        objective = _batch_objective(tail, *candidates, MadConfig(weighting))
+        calls.clear()
+        got = objective(thetas)
+        assert len(calls) == 1
+        own = [objective([theta])[0] for theta in thetas]
+        assert all(value < _PENALTY for value, _ in got)
+        assert np.array([v for v, _ in got]).tobytes() == np.array([v for v, _ in own]).tobytes()
+        assert np.array([g for _, g in got]).tobytes() == np.array([g for _, g in own]).tobytes()
 
 
 # a fit step's model is evaluated in blocks of ranks, and each whole array of

@@ -1,3 +1,4 @@
+import hashlib
 import os
 from collections import Counter
 from dataclasses import replace
@@ -647,6 +648,41 @@ class TestUpperScan:
         ls_at = estimation._log_survival(base, 10.0)
         assert estimation._tail_scan(10.0, tail.values, ls_tail, ls_at, config) == want
 
+    @pytest.mark.parametrize("n,weighting,starts,digest", [
+        (2000, Weighting.UNWEIGHTED, [[0.4, 16.0, 22.40483400666347], [0.4, 64.0, 22.40483400666347]],
+         "f7ed7d44116425f9953d6fd2db7169a9e86057b5d45f0165d437ffcbda463101"),
+        (2000, Weighting.NORMALIZED, [[0.05, 4.0, 0.3858228517709783], [0.2, 0.5, 34.13247048969465]],
+         "82ead867a6e3a5b4a8a8db305c4b1abbd6ee904dc116796ba145d25a05072194"),
+        (2000, Weighting.SQRT_PREFERENCE, [[0.3, 64.0, 22.40483400666347], [0.3, 16.0, 22.40483400666347]],
+         "82a36d0c1bcebf729f2ebfbf22dd101e29f3e2bd37548e8e948a9bbce58e2e83"),
+        (50000, Weighting.UNWEIGHTED, [[0.4, 2.0, 24.087375432175275], [0.5, 2.0, 28.24171703376911]],
+         "c41d23cb1f2c6d48db1948957677241f0a8f810049c41f9d5abcbce806e1dde2"),
+        (50000, Weighting.NORMALIZED, [[0.3, 0.5, 60.529759260725726], [0.2, 0.5, 23.020531785981344]],
+         "402816c69072f8be40575d788b9e00365f90c5f10990b166f0450d1d9228ccb0"),
+        (50000, Weighting.SQRT_PREFERENCE, [[0.3, 2.0, 20.141685253699517], [0.4, 1.0, 34.43670769023095]],
+         "1f09e4aa48f7c577b0607a867d440219035aa7ee231ded9e7de464656f418672"),
+    ])
+    def test_scan_is_pinned(self, n, weighting, starts, digest, monkeypatch):
+        # the starts and the SHA-256 of the sorted values of every objective
+        # call, on a tail of the benchmark's law (25 and 669 points), as
+        # recorded from version 0.10.0, whose scan grouped its grid otherwise
+        s = ct.sample_mechanism(BENCH_LAW, n, 29)
+        tail = s.values[s.values > 20.0]
+        values = []
+        objective = estimation.mad_objective
+
+        def recording(*args):
+            value = objective(*args)
+            values.append(np.ravel(value))
+            return value
+
+        monkeypatch.setattr(estimation, "mad_objective", recording)
+        got = estimation._tail_scan(20.0, tail, estimation._log_survival(BENCH_LAW.base, tail),
+                                    estimation._log_survival(BENCH_LAW.base, 20.0),
+                                    MadConfig(weighting))
+        assert got == starts
+        assert hashlib.sha256(np.sort(np.concatenate(values)).tobytes()).hexdigest() == digest
+
 
 class TestRestartWorkers:
     """Each step's restarts run in lockstep in this process."""
@@ -678,11 +714,11 @@ class TestRestartWorkers:
 
         def out_of_domain(sample, model, config):
             # every candidate's CDF is 1 at every fitted observation
-            def ones(x):
-                log_f, log_s, dlog = model(x)
+            def ones(x, at):
+                log_f, log_s, dlog = model(x, at)
                 return np.zeros_like(log_f), np.full_like(log_s, -np.inf), dlog
 
-            return objective(sample, ones, config)
+            return objective(sample, estimation._StepModel(ones), config)
 
         monkeypatch.setattr(estimation, "mad_objective", out_of_domain)
         s = ct.sample(ct.gpd(0.5, 1.0), 200, seed=0)

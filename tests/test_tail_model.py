@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
@@ -142,6 +142,10 @@ class TestConditionalLaws:
     @settings(max_examples=100)
     @given(upper_models(), st.lists(st.floats(1.0, 100.0), min_size=1,
                                     max_size=20).map(np.array))
+    # one eps above x_upper, log S_b(x) - log S_b(x_upper) rounds to +4.4e-16
+    @example(ct.AdjustedModel(ct.gpd(1.0, 1.0), ct.UpperAdjustment(
+        ct.shifted_weibull(37.01446752114797, 1.0, 1.0), 0.0, 37.01446752114797)),
+        np.array([1.0 + 2.0**-52]))
     def test_tail_log_survival_matches_tail_cdf(self, m, ratio):
         x = m.upper.x_upper * ratio
         logs = [_log_survival(m.upper.adjuster, x), _log_survival(m.base, x),
