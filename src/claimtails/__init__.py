@@ -66,4 +66,4 @@ from .estimation import (
 from .gof import Margins, TailTestResult, pareto_tail_test, qq_coordinates, run_lengths
 from .resampling import BootstrapSummary, bootstrap_fit
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"

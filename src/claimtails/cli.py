@@ -117,23 +117,19 @@ def read_loss_csv(path: str, column: str = "loss") -> OrderedSample:
         fh.seek(0)
         rows = csv.reader(fh)
         next(rows)
-        raw = [row[col].strip() if col < len(row) else "" for row in rows if row]
-    try:
-        values = np.array(raw, dtype=float)  # parses each text as float() does
-    except ValueError:
-        values = None
-    if values is None or not np.all(np.isfinite(values) & (values > 0)):
-        # row by row only to name the first bad row
-        for row_no, text in enumerate(raw, start=2):
+        values = []
+        for row_no, row in enumerate(filter(None, rows), start=2):
+            text = row[col].strip() if col < len(row) else ""
             try:
                 value = float(text)
             except ValueError:
                 raise InputError(f"non-numeric value '{text}' at row {row_no}") from None
-            if not np.isfinite(value) or value <= 0:
+            if not math.isfinite(value) or value <= 0:
                 raise InputError(f"non-positive loss {value} at row {row_no}")
-    if not raw:
+            values.append(value)
+    if not values:
         raise InputError(f"no loss values found in {path}")
-    return OrderedSample.from_values(values, label=os.path.basename(path))
+    return OrderedSample.from_values(np.array(values), label=os.path.basename(path))
 
 
 def read_config_file(path: str) -> dict:

@@ -451,7 +451,9 @@ def draw(spec: DistributionSpec, n: int, rng: np.random.Generator) -> np.ndarray
     """n unsorted inverse-transform draws from `rng`."""
     # keep u away from exact 0 (quantile requires (0,1))
     u = np.clip(rng.random(n), 1e-16, 1.0 - 1e-16)
-    return np.asarray(quantile(spec, u))
+    # a draw past the float range is inf, which the sample's check refuses
+    with np.errstate(over="ignore"):
+        return np.asarray(quantile(spec, u))
 
 
 def sample(spec: DistributionSpec, n: int, seed) -> OrderedSample:

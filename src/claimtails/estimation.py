@@ -400,48 +400,6 @@ def _lockstep(evaluate: Callable, runs: list) -> list:
     return results
 
 
-def _minimize_restarts(
-    evaluate: Callable, x0: np.ndarray, lb: list, ub: list, perturbed: int = 0,
-    extra: Sequence = (),
-) -> tuple:
-    """Projected BFGS in transformed space from `x0`, from `perturbed`
-    deterministic perturbations of it, then from each point of `extra`.
-
-    The restarts run in lockstep (see `_lockstep`): `evaluate` gets a list of
-    points, one per restart still going, and returns their (value, gradient)
-    pairs.
-    Returns (best_x, best_f, converged, total_evals, runs), where `runs`
-    holds each restart's (start, fun, x, nfev), in restart order.  One run
-    has converged when it stopped before `_MAX_EVALS` evaluations; several
-    when the best two outside the penalty region agree in value or point.
-    """
-    rng = np.random.default_rng(20240817)
-    offsets = [np.zeros_like(x0)] + [
-        0.35 * rng.standard_normal(x0.size) for _ in range(perturbed)
-    ]
-    points = [x0 + offset for offset in offsets] + list(extra)
-    starts = [np.clip(x, lb, ub).tolist() for x in points]
-    ends = _lockstep(evaluate, [
-        _bfgs_steps(start, lb, ub, _XTOL, _MAX_EVALS) for start in starts
-    ])
-    runs = [(start, *end) for start, end in zip(starts, ends)]
-    evals = sum(nfev for *_, nfev in runs)
-    results = [(f, x) for _, f, x, _ in runs if np.isfinite(f) and f < _PENALTY / 2]
-    if not results:
-        raise FitFailedError("every optimizer restart ended in the penalty region")
-    results.sort(key=lambda t: t[0])
-    best_f, best_x = results[0]
-    converged = False
-    if len(runs) == 1:
-        converged = runs[0][3] < _MAX_EVALS
-    elif len(results) >= 2:
-        f2, x2 = results[1]
-        close_f = abs(best_f - f2) <= 1e-6 * max(1.0, abs(best_f))
-        close_x = np.max(np.abs(np.subtract(best_x, x2))) < 1e-3
-        converged = bool(close_f or close_x)
-    return best_x, best_f, converged, evals, runs
-
-
 def _batch_objective(
     sample: OrderedSample, params_of: Callable, model_of: Callable, config: MadConfig
 ) -> Callable:
@@ -635,9 +593,16 @@ def _fit_generic(
 ) -> FitResult:
     """Minimum-AD fit of `free_names` within their natural (lo, hi) `bounds`,
     whose `candidates` are the (params_of, model_of) pair of `_batch_objective`,
-    from `x0_natural` and `perturbed` perturbations of it (see
-    `_minimize_restarts`); each point of `extra`, a list of natural values,
-    adds a restart."""
+    by projected BFGS in transformed space.
+
+    The restarts start from `x0_natural`, from `perturbed` deterministic
+    perturbations of it, and from each point of `extra`, a list of natural
+    values; each start is clipped to the box.  They run in lockstep (see
+    `_lockstep`), and the best outside the penalty region is the fit.  One
+    run has converged when it stopped before `_MAX_EVALS` evaluations;
+    several when the best two outside the penalty region agree in value or
+    point.
+    """
     fwd, inv, slope = zip(*map(_transform, free_names))
     bounds = bounds or {}
     box = [(i, *bounds[nm]) for i, nm in enumerate(free_names) if nm in bounds]
@@ -669,17 +634,31 @@ def _fit_generic(
         lo, hi = (g(b) for b in bounds[nm]) if nm in bounds else (-np.inf, np.inf)
         lb.append(float(lo))
         ub.append(float(hi))
-    extra = [np.array([g(v) for g, v in zip(fwd, point)]) for point in extra]
-    best_x, best_f, converged, evals, runs = _minimize_restarts(
-        evaluate, x0, lb, ub, perturbed, extra)
+    rng = np.random.default_rng(20240817)
+    offsets = [np.zeros_like(x0)] + [0.35 * rng.standard_normal(x0.size) for _ in range(perturbed)]
+    points = [x0 + offset for offset in offsets]
+    points += [np.array([g(v) for g, v in zip(fwd, point)]) for point in extra]
+    starts = [np.clip(x, lb, ub).tolist() for x in points]
+    ends = _lockstep(evaluate, [_bfgs_steps(start, lb, ub, _XTOL, _MAX_EVALS) for start in starts])
+    results = [(f, x) for f, x, _ in ends if np.isfinite(f) and f < _PENALTY / 2]
+    if not results:
+        raise FitFailedError("every optimizer restart ended in the penalty region")
+    results.sort(key=lambda t: t[0])
+    best_f, best_x = results[0]
+    if len(ends) == 1:
+        converged = ends[0][2] < _MAX_EVALS
+    else:
+        converged = len(results) >= 2 and bool(
+            abs(best_f - results[1][0]) <= 1e-6 * max(1.0, abs(best_f))
+            or np.max(np.abs(np.subtract(best_x, results[1][1]))) < 1e-3)
     direction = _objective_direction(config.weighting)
-    starts, ends = (natural([run[i] for run in runs]) for i in (0, 2))
     restarts = tuple(
         (dict(zip(free_names, start)), dict(zip(free_names, end)), float(direction * f), nfev)
-        for start, end, (_, f, _, nfev) in zip(starts, ends, runs)
+        for start, end, (f, _, nfev) in zip(natural(starts), natural([x for _, x, _ in ends]), ends)
     )
     theta = dict(zip(free_names, natural([best_x])[0]))
-    return FitResult(theta, direction * best_f, converged, evals, config, restarts)
+    return FitResult(theta, direction * best_f, converged, sum(nfev for *_, nfev in ends), config,
+                     restarts)
 
 
 def fit_mad(

@@ -93,7 +93,10 @@ def bootstrap_fit(
     hi_q = 100 - lo_q
     for name in names:
         vals = np.array([t[name] for t in params_per_rep if name in t])
-        se[name] = float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0
+        # scaled by the power of two at or below the largest |value|, so no squared
+        # deviation overflows; the scaling is exact, so the bits are np.std's
+        scale = np.ldexp(0.5, np.frexp(np.max(np.abs(vals)))[1])
+        se[name] = float(np.std(vals / scale, ddof=1) * scale) if vals.size > 1 else 0.0
         intervals[name] = (
             float(np.percentile(vals, lo_q)),
             float(np.percentile(vals, hi_q)),

@@ -38,10 +38,12 @@ def quadrature_thinned_cdf(sigma: float, sigma_t: float, x: float) -> float:
 def tail_cdf(model, x):
     """CDF of the law conditioned on exceeding x_upper, 1 - S(x)/S_b(x_upper),
     for x >= x_upper (the adjuster leaves S(x_upper) = S_b(x_upper)), in the
-    F domain that the log-space `_tail_log_survival` replaces."""
+    F domain that the log-space `_tail_log_survival` replaces.  The base's
+    ratio S_b(x)/S_b(x_upper) is capped at 1, as that formula caps its log at
+    0: just past x_upper, S_b(x) can round above S_b(x_upper)."""
     u = model.upper
-    s_x = _upper_survival(u.p_upper, survival(u.adjuster, x), survival(model.base, x))
-    return 1.0 - s_x / survival(model.base, u.x_upper)
+    ratio = np.minimum(survival(model.base, x) / survival(model.base, u.x_upper), 1.0)
+    return 1.0 - _upper_survival(u.p_upper, survival(u.adjuster, x), ratio)
 
 
 def head_cdf(model, x):

@@ -1,8 +1,10 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -543,6 +545,19 @@ class TestSimulateCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("flags", [["--mode", "inflation", "--alpha", "1e-300"],
+                                       ["--mode", "thinning", "--sigma", "1e308", "-n", "50"]])
+    def test_overflowing_draws_are_the_samples_error(self, flags, tmp_path, capsys):
+        # draws past the float range are inf, which the sample refuses, with
+        # no RuntimeWarning on the way
+        out = tmp_path / "sim"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["simulate", *flags, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: sample values must be positive and finite\n"
+
+
 class TestQqCommand:
     def test_qq_normal_margins(self, tmp_path, loss_csv):
         model = ct.AdjustedModel(ct.gpd(0.5, 2.0))
@@ -568,6 +583,21 @@ class TestBootstrapCommand:
         assert "gamma" in summary["standard_errors"]
         reps = (out / "bootstrap_replicates.csv").read_text().strip().splitlines()
         assert len(reps) == 9 - summary["failed"]
+
+    def test_huge_losses_give_valid_json(self, tmp_path):
+        # a fitted sigma of ~1e306 once gave a standard error of Infinity,
+        # which JSON does not have
+        path = tmp_path / "big.csv"
+        path.write_text("loss\n1e308\n1e307\n5\n3\n2\n1e300\n7\n")
+        out = tmp_path / "boot"
+        assert main(["bootstrap", "--input", str(path), "--boot-reps", "3",
+                     "--out", str(out)]) == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        summary = json.loads((out / "bootstrap.json").read_text(), parse_constant=refuse)
+        assert all(map(math.isfinite, summary["standard_errors"].values()))
 
     def test_outputs_do_not_depend_on_cpu_count(self, tmp_path, loss_csv, monkeypatch):
         pools = _record_pools(monkeypatch)

@@ -1,4 +1,5 @@
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -42,6 +43,21 @@ class TestBootstrapFit:
         out = ct.bootstrap_fit(s, mean_fit, B=500, seed=3)
         classical = float(np.std(s.values, ddof=1)) / np.sqrt(s.n)
         assert out.standard_errors["mu"] == pytest.approx(classical, rel=0.2)
+
+    def test_se_of_huge_values_is_finite(self):
+        # squared deviations of ~1e306 overflow; the scaled std does not
+        s = ct.sample(ct.exponential(1.0), 100, seed=0)
+
+        def huge_fit(r):
+            return {"c": float(np.mean(r.values)) * 1e306}
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ct.bootstrap_fit(s, huge_fit, B=10, seed=1)
+        se = out.standard_errors["c"]
+        vals = np.array([t["c"] for t in out.replicates])
+        assert np.isfinite(se) and se > 0.0
+        assert se == pytest.approx(float(np.std(vals / 1e300, ddof=1)) * 1e300, rel=1e-12)
 
     def test_gpd_shape_se_plausible(self):
         s = ct.sample(ct.gpd(0.65, 600.0), 9181, seed=1)

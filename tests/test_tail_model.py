@@ -146,6 +146,11 @@ class TestConditionalLaws:
     @example(ct.AdjustedModel(ct.gpd(1.0, 1.0), ct.UpperAdjustment(
         ct.shifted_weibull(37.01446752114797, 1.0, 1.0), 0.0, 37.01446752114797)),
         np.array([1.0 + 2.0**-52]))
+    # there S_b(x) rounds above S_b(x_upper), and the oracle's uncapped ratio
+    # gave a CDF of -1.1e-15 against the capped log S = 0
+    @example(ct.AdjustedModel(ct.gpd(1.5, 1.0), ct.UpperAdjustment(
+        ct.shifted_weibull(318.5854997090248, 1.0, 1.0), 0.0, 318.5854997090248)),
+        np.array([1.0 + 2.0**-52, 1.0 + 2.0**-51]))
     def test_tail_log_survival_matches_tail_cdf(self, m, ratio):
         x = m.upper.x_upper * ratio
         logs = [_log_survival(m.upper.adjuster, x), _log_survival(m.base, x),
